@@ -1,310 +1,327 @@
-//! The daemon's metrics plane: per-daemon and per-tenant counters plus
-//! EWMA rate estimators, exported as one consistent snapshot frame.
+//! The daemon's accounting plane: one btel [`Registry`], live from boot.
 //!
-//! Everything on the job hot path is a relaxed atomic increment; the
-//! only locks are taken at job *completion* (rate estimators, tenant
-//! map) and at snapshot time — the metrics plane never serializes two
-//! running jobs against each other.
+//! Every daemon event — submit, reject, each terminal job state, farm
+//! launch and failure, compiles and persistent hits — is counted exactly
+//! once, in that registry, by one method below. [`MetricsSnapshot`] is a
+//! typed read over the registry and holds no state of its own; the
+//! MetricsText frame and `bintuner metrics` render the same counters.
+//!
+//! Terminal states are exclusive: a job counts in exactly one of
+//! `completed`, `failed`, `cancelled` and `deadline_exceeded`, so once
+//! the daemon is quiescent `accepted == completed + failed + cancelled +
+//! deadline_exceeded`. `quarantined` is a subset of `failed`.
+//!
+//! Unlike the per-run tuner telemetry (opt-in, bound by the Off-mode
+//! purity contract), a long-lived multi-tenant service wants its
+//! registry live from boot; every update is one atomic add at
+//! admission, cancel, farm launch or job settlement — never per batch.
 
-use btel::Ewma;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use super::wire::{JobState, WireTuneOutcome};
+use crate::service::FarmTelemetry;
+use btel::{Counter, Gauge, Histogram, Registry, Tracer};
+use std::sync::Arc;
 
-/// Per-tenant accounting (a tenant is the free-form string on Submit).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct TenantCounters {
-    /// Jobs this tenant submitted (accepted or rejected).
-    pub submitted: u64,
-    /// Jobs rejected at admission (queue full).
-    pub rejected: u64,
-    /// Jobs that completed successfully.
-    pub completed: u64,
-    /// Jobs that failed (service loss, invalid module).
-    pub failed: u64,
-    /// Real compiles this tenant's completed jobs performed.
-    pub compiles: u64,
+/// `(family, help)` of each per-tenant counter.
+type Family = (&'static str, &'static str);
+
+const JOBS: Family = (
+    "bintuner_daemon_jobs_total",
+    "Jobs submitted, by tenant (accepted or rejected).",
+);
+const REJECTS: Family = (
+    "bintuner_daemon_rejects_total",
+    "Jobs refused at admission, by tenant.",
+);
+const COMPLETED: Family = (
+    "bintuner_daemon_completed_total",
+    "Jobs that finished with a result, by tenant.",
+);
+const FAILED: Family = (
+    "bintuner_daemon_failed_total",
+    "Jobs that finished with an error (quarantine included), by tenant.",
+);
+const COMPILES: Family = (
+    "bintuner_daemon_compiles_total",
+    "Real compiles performed by completed jobs, by tenant.",
+);
+
+/// The daemon's btel families, resolved once at launch.
+pub(super) struct DaemonTelemetry {
+    pub(super) registry: Arc<Registry>,
+    /// Job-level spans (one per job that ran), served by TraceDump.
+    pub(super) tracer: Tracer,
+    pub(super) queue_depth: Arc<Gauge>,
+    pub(super) running: Arc<Gauge>,
+    pub(super) job_seconds: Arc<Histogram>,
+    pub(super) quarantined: Arc<Counter>,
+    pub(super) farm_launches: Arc<Counter>,
+    pub(super) farm_failures: Arc<Counter>,
+    cancelled: Arc<Counter>,
+    deadline_exceeded: Arc<Counter>,
+    persistent_hits: Arc<Counter>,
 }
 
-/// The daemon-wide counters. Hot-path increments are relaxed atomics;
-/// see the module docs for the locking discipline.
-#[derive(Debug)]
-pub struct DaemonMetrics {
-    /// Submit frames received.
-    pub submitted: AtomicU64,
-    /// Jobs admitted to the queue.
-    pub accepted: AtomicU64,
-    /// Jobs refused at admission (bounded queue full, or shutdown).
-    pub rejected: AtomicU64,
-    /// Jobs that finished with a result.
-    pub completed: AtomicU64,
-    /// Jobs that finished with an error.
-    pub failed: AtomicU64,
-    /// Jobs cancelled — dequeued while queued, or aborted at a batch
-    /// checkpoint while running.
-    pub cancelled: AtomicU64,
-    /// Jobs currently waiting in the admission queue.
-    pub queue_depth: AtomicU64,
-    /// Jobs currently executing on a runner.
-    pub running: AtomicU64,
-    /// Real compiles across all completed jobs.
-    pub compiles_total: AtomicU64,
-    /// Persistent fitness-store hits across all completed jobs — the
-    /// multi-tenant payoff counter: a duplicate submission is all hits,
-    /// zero compiles.
-    pub persistent_hits_total: AtomicU64,
-    /// Shared-farm launches (first job, module switches, relaunches
-    /// after a farm loss).
-    pub farm_launches: AtomicU64,
-    /// Shared-farm failures (a batch aborted because every worker was
-    /// lost, or a relaunch failed).
-    pub farm_failures: AtomicU64,
-    rates: Mutex<Rates>,
-    tenants: Mutex<HashMap<String, TenantCounters>>,
-}
-
-#[derive(Debug)]
-struct Rates {
-    job_seconds: Ewma,
-    compiles_per_second: Ewma,
-}
-
-impl Default for DaemonMetrics {
-    fn default() -> DaemonMetrics {
-        DaemonMetrics {
-            submitted: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            running: AtomicU64::new(0),
-            compiles_total: AtomicU64::new(0),
-            persistent_hits_total: AtomicU64::new(0),
-            farm_launches: AtomicU64::new(0),
-            farm_failures: AtomicU64::new(0),
-            rates: Mutex::new(Rates {
-                job_seconds: Ewma::new(0.3),
-                compiles_per_second: Ewma::new(0.3),
-            }),
-            tenants: Mutex::new(HashMap::new()),
+impl DaemonTelemetry {
+    pub(super) fn new() -> DaemonTelemetry {
+        let registry = Arc::new(Registry::new());
+        let counter = |name, help| registry.counter(name, help);
+        DaemonTelemetry {
+            queue_depth: registry.gauge(
+                "bintuner_daemon_queue_depth",
+                "Jobs waiting in the admission queue.",
+            ),
+            running: registry.gauge(
+                "bintuner_daemon_running",
+                "Jobs currently executing on a runner.",
+            ),
+            job_seconds: registry.histogram(
+                "bintuner_daemon_job_seconds",
+                "Wall time of each job from claim to terminal state.",
+            ),
+            quarantined: counter(
+                "bintuner_daemon_quarantined_total",
+                "Jobs failed fast under poison-module quarantine.",
+            ),
+            farm_launches: counter(
+                "bintuner_daemon_farm_launches_total",
+                "Shared-farm launches (first job, module switches, relaunches after a loss).",
+            ),
+            farm_failures: counter(
+                "bintuner_daemon_farm_failures_total",
+                "Shared-farm failures (a failed launch, or a batch that lost every worker).",
+            ),
+            cancelled: counter(
+                "bintuner_daemon_cancelled_total",
+                "Jobs cancelled while queued, while running, or by shutdown.",
+            ),
+            deadline_exceeded: counter(
+                "bintuner_daemon_deadline_exceeded_total",
+                "Jobs aborted because their submit-time deadline passed.",
+            ),
+            persistent_hits: counter(
+                "bintuner_daemon_persistent_hits_total",
+                "Persistent fitness-store hits of completed jobs.",
+            ),
+            tracer: Tracer::enabled(1024),
+            registry,
         }
     }
-}
 
-impl DaemonMetrics {
-    /// Record a submission attempt for `tenant` (before admission).
-    pub fn on_submit(&self, tenant: &str) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.tenant_mut(tenant, |t| t.submitted += 1);
+    /// Farm-side telemetry wiring that shares the daemon's registry, so
+    /// `bintuner_farm_*` counters (evictions, heartbeat misses,
+    /// respawns, backoff) land in the same exposition the MetricsText
+    /// frame serves. The farm's span tracer stays disabled — the daemon
+    /// records job-level spans itself.
+    pub(super) fn farm_telemetry(&self) -> FarmTelemetry {
+        FarmTelemetry {
+            registry: self.registry.clone(),
+            tracer: Tracer::disabled(),
+        }
     }
 
-    /// Record an admission rejection for `tenant`.
-    pub fn on_reject(&self, tenant: &str) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.tenant_mut(tenant, |t| t.rejected += 1);
+    fn tenant(&self, (name, help): Family, tenant: &str) -> Arc<Counter> {
+        self.registry.counter_with(name, help, "tenant", tenant)
     }
 
-    /// Record a job completing. Runs off the hot path (once per job):
-    /// updates the EWMA rate estimators and the tenant map.
-    pub fn on_job_done(
+    /// Count a Submit frame from `tenant`, before admission decides.
+    pub(super) fn on_submit(&self, tenant: &str) {
+        self.tenant(JOBS, tenant).inc();
+    }
+
+    /// Count an admission reject for `tenant`.
+    pub(super) fn on_reject(&self, tenant: &str) {
+        self.tenant(REJECTS, tenant).inc();
+    }
+
+    /// Count one job reaching terminal `state` — the only place the
+    /// terminal counters move. A completed job also folds its compiles
+    /// and persistent hits in.
+    pub(super) fn on_settled(
         &self,
         tenant: &str,
-        succeeded: bool,
-        compiles: u64,
-        persistent_hits: u64,
-        wall_seconds: f64,
+        state: JobState,
+        outcome: &Result<WireTuneOutcome, String>,
     ) {
-        if succeeded {
-            self.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        self.compiles_total.fetch_add(compiles, Ordering::Relaxed);
-        self.persistent_hits_total
-            .fetch_add(persistent_hits, Ordering::Relaxed);
-        {
-            // btel::Ewma rejects non-finite and negative samples itself
-            // (`observe` returns false) — the edge cases the former
-            // private copy here ignored — so a clock hiccup can no
-            // longer poison the rate estimate.
-            let mut rates = self.rates.lock().unwrap();
-            rates.job_seconds.observe(wall_seconds);
-            if wall_seconds > 0.0 {
-                rates
-                    .compiles_per_second
-                    .observe(compiles as f64 / wall_seconds);
+        match (state, outcome) {
+            (JobState::Done, Ok(o)) => {
+                self.tenant(COMPLETED, tenant).inc();
+                self.tenant(COMPILES, tenant).add(o.compiles);
+                self.persistent_hits.add(o.persistent_hits);
             }
+            (JobState::Failed, _) => self.tenant(FAILED, tenant).inc(),
+            (JobState::Cancelled, _) => self.cancelled.inc(),
+            (JobState::DeadlineExceeded, _) => self.deadline_exceeded.inc(),
+            _ => unreachable!("{state:?} is not a terminal state of its outcome"),
         }
-        self.tenant_mut(tenant, |t| {
-            if succeeded {
-                t.completed += 1;
-            } else {
-                t.failed += 1;
-            }
-            t.compiles += compiles;
-        });
     }
 
-    fn tenant_mut(&self, tenant: &str, f: impl FnOnce(&mut TenantCounters)) {
-        let mut tenants = self.tenants.lock().unwrap();
-        f(tenants.entry(tenant.to_string()).or_default());
-    }
-
-    /// One consistent snapshot (the payload of the Metrics frame).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let rates = self.rates.lock().unwrap();
-        let mut tenants: Vec<(String, TenantCounters)> = self
-            .tenants
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+    /// Read every daemon counter out of the registry.
+    pub(super) fn snapshot(&self) -> MetricsSnapshot {
+        let read = |family: Family, tenant: &str| {
+            self.registry
+                .counter_value(family.0, Some(tenant))
+                .unwrap_or(0)
+        };
+        // Every tenant submitted at least once, and the registry keeps
+        // label values sorted.
+        let tenants: Vec<(String, TenantCounters)> = self
+            .registry
+            .label_values(JOBS.0)
+            .into_iter()
+            .map(|name| {
+                let counters = TenantCounters {
+                    submitted: read(JOBS, &name),
+                    rejected: read(REJECTS, &name),
+                    completed: read(COMPLETED, &name),
+                    failed: read(FAILED, &name),
+                    compiles: read(COMPILES, &name),
+                };
+                (name, counters)
+            })
             .collect();
-        tenants.sort_by(|a, b| a.0.cmp(&b.0));
+        let sum = |field: fn(&TenantCounters) -> u64| tenants.iter().map(|(_, t)| field(t)).sum();
+        let (submitted, rejected): (u64, u64) = (sum(|t| t.submitted), sum(|t| t.rejected));
+        let gauge = |g: &Gauge| g.get().max(0) as u64;
         MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            running: self.running.load(Ordering::Relaxed),
-            compiles_total: self.compiles_total.load(Ordering::Relaxed),
-            persistent_hits_total: self.persistent_hits_total.load(Ordering::Relaxed),
-            farm_launches: self.farm_launches.load(Ordering::Relaxed),
-            farm_failures: self.farm_failures.load(Ordering::Relaxed),
-            ewma_job_seconds: rates.job_seconds.value(),
-            ewma_compiles_per_second: rates.compiles_per_second.value(),
+            submitted,
+            // A reject is counted after its submit, so a read racing an
+            // admission can see the reject first.
+            accepted: submitted.saturating_sub(rejected),
+            rejected,
+            completed: sum(|t| t.completed),
+            failed: sum(|t| t.failed),
+            cancelled: self.cancelled.get(),
+            deadline_exceeded: self.deadline_exceeded.get(),
+            queue_depth: gauge(&self.queue_depth),
+            running: gauge(&self.running),
+            compiles_total: sum(|t| t.compiles),
+            persistent_hits_total: self.persistent_hits.get(),
+            farm_launches: self.farm_launches.get(),
+            farm_failures: self.farm_failures.get(),
             tenants,
         }
     }
 }
 
-/// A point-in-time copy of every daemon counter — what the Metrics wire
-/// frame carries and what the CI artifact records.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// See [`DaemonMetrics::submitted`].
+/// Per-tenant counters (a tenant is the free-form string on Submit).
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct TenantCounters {
+    /// Jobs this tenant submitted (accepted or rejected).
     pub submitted: u64,
-    /// See [`DaemonMetrics::accepted`].
-    pub accepted: u64,
-    /// See [`DaemonMetrics::rejected`].
+    /// Jobs rejected at admission.
     pub rejected: u64,
-    /// See [`DaemonMetrics::completed`].
+    /// Jobs that completed successfully.
     pub completed: u64,
-    /// See [`DaemonMetrics::failed`].
+    /// Jobs that failed (service loss, quarantine).
     pub failed: u64,
-    /// See [`DaemonMetrics::cancelled`].
-    pub cancelled: u64,
-    /// See [`DaemonMetrics::queue_depth`].
-    pub queue_depth: u64,
-    /// See [`DaemonMetrics::running`].
-    pub running: u64,
-    /// See [`DaemonMetrics::compiles_total`].
-    pub compiles_total: u64,
-    /// See [`DaemonMetrics::persistent_hits_total`].
-    pub persistent_hits_total: u64,
-    /// See [`DaemonMetrics::farm_launches`].
-    pub farm_launches: u64,
-    /// See [`DaemonMetrics::farm_failures`].
-    pub farm_failures: u64,
-    /// EWMA of per-job wall seconds (`None` before the first job).
-    pub ewma_job_seconds: Option<f64>,
-    /// EWMA of compile throughput (`None` until a job with nonzero
-    /// wall time completes).
-    pub ewma_compiles_per_second: Option<f64>,
-    /// Per-tenant counters, sorted by tenant name.
-    pub tenants: Vec<(String, TenantCounters)>,
+    /// Real compiles this tenant's completed jobs performed.
+    pub compiles: u64,
 }
 
-impl std::fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "jobs.submitted {}", self.submitted)?;
-        writeln!(f, "jobs.accepted {}", self.accepted)?;
-        writeln!(f, "jobs.rejected {}", self.rejected)?;
-        writeln!(f, "jobs.completed {}", self.completed)?;
-        writeln!(f, "jobs.failed {}", self.failed)?;
-        writeln!(f, "jobs.cancelled {}", self.cancelled)?;
-        writeln!(f, "queue.depth {}", self.queue_depth)?;
-        writeln!(f, "jobs.running {}", self.running)?;
-        writeln!(f, "compiles.total {}", self.compiles_total)?;
-        writeln!(f, "store.persistent_hits {}", self.persistent_hits_total)?;
-        writeln!(f, "farm.launches {}", self.farm_launches)?;
-        writeln!(f, "farm.failures {}", self.farm_failures)?;
-        if let Some(s) = self.ewma_job_seconds {
-            writeln!(f, "ewma.job_seconds {s:.6}")?;
-        }
-        if let Some(c) = self.ewma_compiles_per_second {
-            writeln!(f, "ewma.compiles_per_second {c:.6}")?;
-        }
-        for (tenant, t) in &self.tenants {
-            writeln!(
-                f,
-                "tenant.{tenant} submitted={} rejected={} completed={} failed={} compiles={}",
-                t.submitted, t.rejected, t.completed, t.failed, t.compiles
-            )?;
-        }
-        Ok(())
-    }
+/// A point-in-time, typed read of the daemon's registry
+/// ([`DaemonHandle::metrics_snapshot`](super::DaemonHandle::metrics_snapshot)).
+/// Counters are read one by one, not under a common lock.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetricsSnapshot {
+    /// Submit frames received (accepted or rejected).
+    pub submitted: u64,
+    /// Jobs admitted to the queue: `submitted - rejected`.
+    pub accepted: u64,
+    /// Jobs refused at admission (queue full, shutdown, bad request).
+    pub rejected: u64,
+    /// Jobs that finished with a result.
+    pub completed: u64,
+    /// Jobs that finished with an error (quarantine included). A
+    /// cancelled or expired job is not a failure.
+    pub failed: u64,
+    /// Jobs cancelled — while queued, while running, or by shutdown.
+    pub cancelled: u64,
+    /// Jobs aborted past their submit-time deadline.
+    pub deadline_exceeded: u64,
+    /// Jobs waiting in the admission queue.
+    pub queue_depth: u64,
+    /// Jobs executing on a runner.
+    pub running: u64,
+    /// Real compiles across all completed jobs.
+    pub compiles_total: u64,
+    /// Persistent fitness-store hits across all completed jobs — the
+    /// multi-tenant payoff: a duplicate submission is all hits, zero
+    /// compiles.
+    pub persistent_hits_total: u64,
+    /// Shared-farm launches (first job, module switches, relaunches
+    /// after a farm loss).
+    pub farm_launches: u64,
+    /// Shared-farm failures (a failed launch, or a batch that lost
+    /// every worker).
+    pub farm_failures: u64,
+    /// Per-tenant counters, sorted by tenant name.
+    pub tenants: Vec<(String, TenantCounters)>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genetic::StopReason;
 
-    #[test]
-    fn ewma_seeds_then_smooths() {
-        // The pinned α=0.5 trajectory of the former private estimator,
-        // now required of the shared btel::Ewma it migrated to.
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert!(e.observe(10.0));
-        assert_eq!(e.value(), Some(10.0));
-        assert!(e.observe(20.0));
-        assert_eq!(e.value(), Some(15.0));
-        assert!(e.observe(15.0));
-        assert_eq!(e.value(), Some(15.0));
+    fn done(compiles: u64, persistent_hits: u64) -> Result<WireTuneOutcome, String> {
+        Ok(WireTuneOutcome {
+            best_flags: vec![true],
+            best_ncd_bits: 0,
+            iterations: 1,
+            stopped_by: StopReason::MaxEvaluations,
+            compiles,
+            persistent_hits,
+            store_ast_hits: 0,
+            store_lower_hits: 0,
+        })
     }
 
     #[test]
-    fn ewma_rejects_poison_samples() {
-        // The edge cases the private copy ignored: NaN, ±inf, and
-        // negative wall clocks are dropped instead of folded in.
-        let mut e = Ewma::new(0.5);
-        assert!(!e.observe(f64::NAN));
-        assert!(!e.observe(f64::INFINITY));
-        assert!(!e.observe(-1.0));
-        assert_eq!(e.value(), None);
-        assert!(e.observe(4.0));
-        assert!(!e.observe(f64::NAN));
-        assert_eq!(e.value(), Some(4.0));
-    }
-
-    #[test]
-    fn snapshot_aggregates_tenants_sorted_and_display_is_parseable() {
-        let m = DaemonMetrics::default();
-        m.on_submit("zeta");
-        m.on_submit("alpha");
-        m.on_reject("zeta");
-        m.accepted.fetch_add(1, Ordering::Relaxed);
-        m.on_job_done("alpha", true, 40, 3, 2.0);
-        m.on_job_done("alpha", false, 0, 0, 0.0);
-        let snap = m.snapshot();
-        assert_eq!(snap.submitted, 2);
-        assert_eq!(snap.rejected, 1);
-        assert_eq!(snap.completed, 1);
-        assert_eq!(snap.failed, 1);
+    fn snapshot_aggregates_tenants_sorted_from_the_registry() {
+        let tel = DaemonTelemetry::new();
+        tel.on_submit("zeta");
+        tel.on_reject("zeta");
+        let settled = [
+            (JobState::Done, done(40, 3)),
+            (JobState::Failed, Err("farm lost".into())),
+            (JobState::Cancelled, Err("cancelled".into())),
+            (JobState::DeadlineExceeded, Err("expired".into())),
+        ];
+        for (state, outcome) in &settled {
+            tel.on_submit("alpha");
+            tel.on_settled("alpha", *state, outcome);
+        }
+        let snap = tel.snapshot();
+        assert_eq!((snap.submitted, snap.rejected, snap.accepted), (5, 1, 4));
+        // Each terminal state lands in exactly one counter.
+        assert_eq!(
+            (
+                snap.completed,
+                snap.failed,
+                snap.cancelled,
+                snap.deadline_exceeded
+            ),
+            (1, 1, 1, 1)
+        );
         assert_eq!(snap.compiles_total, 40);
-        assert_eq!(snap.ewma_compiles_per_second, Some(20.0));
+        assert_eq!(snap.persistent_hits_total, 3);
         let names: Vec<&str> = snap.tenants.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["alpha", "zeta"], "sorted by tenant");
-        let text = snap.to_string();
-        assert!(text.contains("compiles.total 40"));
-        assert!(
-            text.contains("tenant.alpha submitted=1 rejected=0 completed=1 failed=1 compiles=40")
+        assert_eq!(
+            snap.tenants[0].1,
+            TenantCounters {
+                submitted: 4,
+                rejected: 0,
+                completed: 1,
+                failed: 1,
+                compiles: 40,
+            }
         );
+        // The snapshot and the exposition page are the same counters.
+        let text = tel.registry.render_text();
+        assert!(text.contains("bintuner_daemon_compiles_total{tenant=\"alpha\"} 40"));
+        assert!(text.contains("bintuner_daemon_failed_total{tenant=\"alpha\"} 1"));
+        assert!(text.contains("bintuner_daemon_rejects_total{tenant=\"zeta\"} 1"));
+        assert!(text.contains("bintuner_daemon_cancelled_total 1"));
     }
 }

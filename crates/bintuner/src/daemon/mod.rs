@@ -8,8 +8,8 @@
 //! farm itself uses); the daemon multiplexes every job onto the shared
 //! farm with fair-share batch interleaving, serves duplicate work from
 //! the shared stores (a resubmitted module is a pure cache hit: zero
-//! compiles, bit-identical result), and exports a metrics plane
-//! ([`metrics`]) off the hot path.
+//! compiles, bit-identical result), and counts every daemon event once,
+//! in one always-live btel registry ([`metrics`]).
 //!
 //! ## Fault containment — the contract this module exists to prove
 //!
@@ -32,7 +32,7 @@
 pub mod metrics;
 pub mod wire;
 
-use crate::service::{FarmTelemetry, ServiceExecutor, ServiceHandle, SharedEvaldError};
+use crate::service::{ServiceExecutor, ServiceHandle, SharedEvaldError};
 use crate::store::{ArtifactStore, AstArtifactKey, LowerArtifactKey};
 use crate::tuner::{Backend, TuneError, TuneResult, Tuner, TunerConfig};
 use crate::{MissExecutor, MissResult};
@@ -43,7 +43,7 @@ use evald::{
     EvaldError, FaultPlan, ServiceConfig, TransportKind, WireAstArtifact, WireLowerArtifact,
 };
 use genetic::{EvalAbort, Termination};
-use metrics::{DaemonMetrics, MetricsSnapshot};
+use metrics::{DaemonTelemetry, MetricsSnapshot};
 use minicc::ast::Module;
 use minicc::codec::decode_module;
 use std::collections::{HashMap, VecDeque};
@@ -172,11 +172,11 @@ struct SharedFarm {
     /// Remaining chaos-injected launches: the plan plus how many more
     /// launches it poisons.
     fault: Mutex<(Option<FaultPlan>, u32)>,
-    metrics: Arc<DaemonMetrics>,
-    /// Farm-side btel families (`bintuner_farm_*`) resolved into the
-    /// daemon's always-on registry, so evictions, heartbeat misses and
-    /// respawns under *any* tenant's job show up in `bintuner metrics`.
-    tel: FarmTelemetry,
+    /// The daemon's registry: farm launches and failures count here,
+    /// and each launched farm's `bintuner_farm_*` families resolve into
+    /// it, so evictions, heartbeat misses and respawns under *any*
+    /// tenant's job show up in `bintuner metrics`.
+    tel: Arc<DaemonTelemetry>,
     state: Mutex<FarmState>,
     turn: Condvar,
     /// Consecutive farm failures per module hash — the poison-job
@@ -227,13 +227,11 @@ impl SharedFarm {
         true
     }
 
-    /// Record one farm failure against `module_hash`; returns the new
-    /// consecutive-strike count.
-    fn note_strike(&self, module_hash: u64) -> u32 {
-        let mut strikes = self.strikes.lock().unwrap();
-        let n = strikes.entry(module_hash).or_insert(0);
-        *n += 1;
-        *n
+    /// Count one farm failure and record it as a strike against
+    /// `module_hash`.
+    fn note_failure(&self, module_hash: u64) {
+        self.tel.farm_failures.inc();
+        *self.strikes.lock().unwrap().entry(module_hash).or_insert(0) += 1;
     }
 
     /// Run one batch of `job`'s misses on the shared farm, waiting for
@@ -296,18 +294,17 @@ impl SharedFarm {
                 module,
                 self.base.arch,
                 self.base.artifact_cache,
-                Some(self.tel.clone()),
+                Some(self.tel.farm_telemetry()),
             ) {
                 Ok(handle) => {
-                    self.metrics.farm_launches.fetch_add(1, Ordering::Relaxed);
+                    self.tel.farm_launches.inc();
                     state.slot = Some(FarmSlot {
                         module_hash,
                         handle,
                     });
                 }
                 Err(e) => {
-                    self.metrics.farm_failures.fetch_add(1, Ordering::Relaxed);
-                    self.note_strike(module_hash);
+                    self.note_failure(module_hash);
                     let cause = Arc::new(e);
                     *failure.lock().unwrap() = Some(cause.clone());
                     self.rotate(&mut state);
@@ -339,8 +336,7 @@ impl SharedFarm {
                     *failure.lock().unwrap() = slot.handle.take_failure();
                 }
                 self.teardown_slot(&mut state);
-                self.metrics.farm_failures.fetch_add(1, Ordering::Relaxed);
-                self.note_strike(module_hash);
+                self.note_failure(module_hash);
             }
         }
         self.rotate(&mut state);
@@ -476,100 +472,6 @@ impl ServiceExecutor for FarmExecutor {
     }
 }
 
-// ------------------------------------------------------------ telemetry
-
-/// The daemon's always-on btel plane. Unlike the per-run tuner
-/// telemetry (opt-in, bound by the Off-mode purity contract), a
-/// long-lived multi-tenant service wants its registry live from boot;
-/// every update below runs off the job hot path — admission, cancel,
-/// and completion, once per job.
-struct DaemonTelemetry {
-    registry: Arc<btel::Registry>,
-    /// Job-level spans (one per completed job), served by TraceDump.
-    tracer: btel::Tracer,
-    queue_depth: Arc<btel::Gauge>,
-    running: Arc<btel::Gauge>,
-    job_seconds: Arc<btel::Histogram>,
-    /// Jobs aborted past their submit-time deadline.
-    deadline_exceeded: Arc<btel::Counter>,
-    /// Jobs refused (or aborted) under poison-module quarantine.
-    quarantined: Arc<btel::Counter>,
-}
-
-impl DaemonTelemetry {
-    fn new() -> DaemonTelemetry {
-        let registry = Arc::new(btel::Registry::new());
-        let queue_depth = registry.gauge(
-            "bintuner_daemon_queue_depth",
-            "Jobs waiting in the admission queue.",
-        );
-        let running = registry.gauge(
-            "bintuner_daemon_running",
-            "Jobs currently executing on a runner.",
-        );
-        let job_seconds = registry.histogram(
-            "bintuner_daemon_job_seconds",
-            "Wall time of each job from claim to terminal state.",
-        );
-        let deadline_exceeded = registry.counter(
-            "bintuner_daemon_deadline_exceeded_total",
-            "Jobs aborted because their submit-time deadline passed.",
-        );
-        let quarantined = registry.counter(
-            "bintuner_daemon_quarantined_total",
-            "Jobs failed fast under poison-module quarantine.",
-        );
-        DaemonTelemetry {
-            registry,
-            tracer: btel::Tracer::enabled(1024),
-            queue_depth,
-            running,
-            job_seconds,
-            deadline_exceeded,
-            quarantined,
-        }
-    }
-
-    /// Farm-side telemetry wiring that shares the daemon's registry, so
-    /// `bintuner_farm_*` counters (evictions, heartbeat misses,
-    /// respawns, backoff) land in the same exposition the MetricsText
-    /// frame serves. The farm's span tracer stays disabled — the daemon
-    /// records job-level spans itself.
-    fn farm_telemetry(&self) -> FarmTelemetry {
-        FarmTelemetry {
-            registry: self.registry.clone(),
-            tracer: btel::Tracer::disabled(),
-        }
-    }
-
-    fn tenant_jobs(&self, tenant: &str) -> Arc<btel::Counter> {
-        self.registry.counter_with(
-            "bintuner_daemon_jobs_total",
-            "Jobs submitted, by tenant (accepted or rejected).",
-            "tenant",
-            tenant,
-        )
-    }
-
-    fn tenant_rejects(&self, tenant: &str) -> Arc<btel::Counter> {
-        self.registry.counter_with(
-            "bintuner_daemon_rejects_total",
-            "Jobs refused at admission, by tenant.",
-            "tenant",
-            tenant,
-        )
-    }
-
-    fn tenant_compiles(&self, tenant: &str) -> Arc<btel::Counter> {
-        self.registry.counter_with(
-            "bintuner_daemon_compiles_total",
-            "Real compiles performed by completed jobs, by tenant.",
-            "tenant",
-            tenant,
-        )
-    }
-}
-
 // ---------------------------------------------------------------- jobs
 
 struct JobSpec {
@@ -591,8 +493,7 @@ struct JobEntry {
 
 struct DaemonShared {
     config: DaemonConfig,
-    metrics: Arc<DaemonMetrics>,
-    tel: DaemonTelemetry,
+    tel: Arc<DaemonTelemetry>,
     farm: Arc<SharedFarm>,
     /// Job table. Lock order where both are needed: `queue` before
     /// `jobs` (admission and cancel take them in that order).
@@ -607,20 +508,38 @@ struct DaemonShared {
     next_job: AtomicU64,
 }
 
-fn outcome_of(result: &Result<TuneResult, TuneError>) -> Result<WireTuneOutcome, String> {
-    match result {
-        Ok(r) => Ok(WireTuneOutcome {
-            best_flags: r.best_flags.clone(),
-            best_ncd_bits: r.best_ncd.to_bits(),
-            iterations: r.iterations as u64,
-            stopped_by: r.stopped_by,
-            compiles: r.engine_stats.compiles as u64,
-            persistent_hits: r.engine_stats.persistent_hits as u64,
-            store_ast_hits: r.engine_stats.store_ast_hits as u64,
-            store_lower_hits: r.engine_stats.store_lower_hits as u64,
-        }),
-        Err(e) => Err(e.to_string()),
+fn outcome_of(r: &TuneResult) -> WireTuneOutcome {
+    WireTuneOutcome {
+        best_flags: r.best_flags.clone(),
+        best_ncd_bits: r.best_ncd.to_bits(),
+        iterations: r.iterations as u64,
+        stopped_by: r.stopped_by,
+        compiles: r.engine_stats.compiles as u64,
+        persistent_hits: r.engine_stats.persistent_hits as u64,
+        store_ast_hits: r.engine_stats.store_ast_hits as u64,
+        store_lower_hits: r.engine_stats.store_lower_hits as u64,
     }
+}
+
+/// Move `job` to terminal `state` with `outcome` and count it. This is
+/// the one place a job leaves Queued or Running — the runner, a queued
+/// cancel and the shutdown drain all settle through it — so each job
+/// lands in exactly one terminal counter.
+fn settle(
+    shared: &DaemonShared,
+    job: u64,
+    state: JobState,
+    outcome: Result<WireTuneOutcome, String>,
+) {
+    let mut jobs = shared.jobs.lock().unwrap();
+    if let Some(entry) = jobs.get_mut(&job) {
+        shared.tel.on_settled(&entry.tenant, state, &outcome);
+        entry.state = state;
+        entry.spec = None;
+        entry.outcome = Some(outcome);
+    }
+    drop(jobs);
+    shared.done.notify_all();
 }
 
 fn run_job(
@@ -670,71 +589,46 @@ fn runner_loop(shared: Arc<DaemonShared>) {
                 queue = shared.queue_cv.wait_timeout(queue, WAIT_TICK).unwrap().0;
             }
         };
-        shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         shared.tel.queue_depth.add(-1);
-        let Some((tenant, spec, control)) = ({
+        let Some((spec, control)) = ({
             let mut jobs = shared.jobs.lock().unwrap();
             jobs.get_mut(&job).and_then(|entry| {
                 entry.state = JobState::Running;
-                entry
-                    .spec
-                    .take()
-                    .map(|s| (entry.tenant.clone(), s, entry.control.clone()))
+                entry.spec.take().map(|s| (s, entry.control.clone()))
             })
         }) else {
             continue;
         };
-        shared.metrics.running.fetch_add(1, Ordering::Relaxed);
         shared.tel.running.add(1);
         let start = Instant::now();
         let result = run_job(&shared, job, &spec, &control);
         let wall = start.elapsed().as_secs_f64();
-        shared.metrics.running.fetch_sub(1, Ordering::Relaxed);
         shared.tel.running.add(-1);
         // An abort latched at a batch checkpoint overrides the generic
         // service error with the typed terminal state the client asked
         // for (Cancelled / DeadlineExceeded) or the typed poison error.
-        let abort = control.take_abort().filter(|_| result.is_err());
-        let result = match abort {
-            Some(AbortKind::Quarantined { strikes }) => Err(TuneError::Quarantined { strikes }),
-            _ => result,
-        };
-        let outcome = match abort {
-            Some(AbortKind::Cancelled) => Err("job cancelled while running".to_string()),
-            Some(AbortKind::DeadlineExceeded) => {
-                Err("job deadline exceeded while running".to_string())
+        let (state, outcome) = match control.take_abort().filter(|_| result.is_err()) {
+            Some(AbortKind::Cancelled) => (
+                JobState::Cancelled,
+                Err("job cancelled while running".to_string()),
+            ),
+            Some(AbortKind::DeadlineExceeded) => (
+                JobState::DeadlineExceeded,
+                Err("job deadline exceeded while running".to_string()),
+            ),
+            Some(AbortKind::Quarantined { strikes }) => {
+                shared.tel.quarantined.inc();
+                let error = TuneError::Quarantined { strikes };
+                (JobState::Failed, Err(error.to_string()))
             }
-            _ => outcome_of(&result),
+            None => match &result {
+                Ok(r) => (JobState::Done, Ok(outcome_of(r))),
+                Err(e) => (JobState::Failed, Err(e.to_string())),
+            },
         };
-        let (succeeded, compiles, hits) = match &outcome {
-            Ok(o) => (true, o.compiles, o.persistent_hits),
-            Err(_) => (false, 0, 0),
-        };
-        shared
-            .metrics
-            .on_job_done(&tenant, succeeded, compiles, hits, wall);
-        match abort {
-            Some(AbortKind::Cancelled) => {
-                shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(AbortKind::DeadlineExceeded) => shared.tel.deadline_exceeded.inc(),
-            Some(AbortKind::Quarantined { .. }) => shared.tel.quarantined.inc(),
-            None => {}
-        }
-        shared.tel.tenant_compiles(&tenant).add(compiles);
         shared.tel.job_seconds.observe_seconds(wall);
         shared.tel.tracer.record("job", 0, start);
-        let mut jobs = shared.jobs.lock().unwrap();
-        if let Some(entry) = jobs.get_mut(&job) {
-            entry.state = match abort {
-                _ if succeeded => JobState::Done,
-                Some(AbortKind::Cancelled) => JobState::Cancelled,
-                Some(AbortKind::DeadlineExceeded) => JobState::DeadlineExceeded,
-                _ => JobState::Failed,
-            };
-            entry.outcome = Some(outcome);
-        }
-        shared.done.notify_all();
+        settle(&shared, job, state, outcome);
     }
 }
 
@@ -749,11 +643,9 @@ fn handle_submit(
     dedup: bool,
     deadline_ms: u64,
 ) -> DaemonFrame {
-    shared.metrics.on_submit(&tenant);
-    shared.tel.tenant_jobs(&tenant).inc();
+    shared.tel.on_submit(&tenant);
     let reject = |code, detail: String| {
-        shared.metrics.on_reject(&tenant);
-        shared.tel.tenant_rejects(&tenant).inc();
+        shared.tel.on_reject(&tenant);
         DaemonFrame::Rejected { code, detail }
     };
     if shared.stop.load(Ordering::Relaxed) {
@@ -797,9 +689,7 @@ fn handle_submit(
         },
     );
     queue.push_back(job);
-    shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
     shared.tel.queue_depth.add(1);
-    shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
     drop(queue);
     shared.queue_cv.notify_one();
     DaemonFrame::Accepted { job }
@@ -810,18 +700,14 @@ fn handle_cancel(shared: &DaemonShared, job: u64) -> DaemonFrame {
     if let Some(pos) = queue.iter().position(|&j| j == job) {
         // Still queued: dequeue and settle it right here.
         queue.remove(pos);
-        shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         shared.tel.queue_depth.add(-1);
-        shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-        let mut jobs = shared.jobs.lock().unwrap();
-        if let Some(entry) = jobs.get_mut(&job) {
-            entry.state = JobState::Cancelled;
-            entry.spec = None;
-            entry.outcome = Some(Err("job cancelled while queued".into()));
-        }
-        drop(jobs);
+        settle(
+            shared,
+            job,
+            JobState::Cancelled,
+            Err("job cancelled while queued".into()),
+        );
         drop(queue);
-        shared.done.notify_all();
         return DaemonFrame::CancelReply {
             job,
             cancelled: true,
@@ -830,8 +716,7 @@ fn handle_cancel(shared: &DaemonShared, job: u64) -> DaemonFrame {
     drop(queue);
     // Already claimed: latch the cancel flag for a *running* job; its
     // runner observes it at the next batch checkpoint and settles the
-    // job as Cancelled (the runner owns the terminal transition and the
-    // cancelled counter on this path).
+    // job as Cancelled.
     let jobs = shared.jobs.lock().unwrap();
     let cancelled = jobs.get(&job).is_some_and(|entry| {
         entry.state == JobState::Running && {
@@ -901,15 +786,12 @@ fn handle_frame(shared: &DaemonShared, frame: DaemonFrame) -> Option<DaemonFrame
             DaemonFrame::StatusReply {
                 job,
                 state,
-                queue_depth: shared.metrics.queue_depth.load(Ordering::Relaxed),
-                running: shared.metrics.running.load(Ordering::Relaxed),
+                queue_depth: shared.tel.queue_depth.get().max(0) as u64,
+                running: shared.tel.running.get().max(0) as u64,
             }
         }
         DaemonFrame::Cancel { job } => handle_cancel(shared, job),
         DaemonFrame::FetchResult { job } => handle_fetch(shared, job),
-        DaemonFrame::Metrics => DaemonFrame::MetricsReply {
-            snapshot: shared.metrics.snapshot(),
-        },
         DaemonFrame::MetricsText => DaemonFrame::MetricsTextReply {
             text: shared.tel.registry.render_text(),
         },
@@ -1010,8 +892,7 @@ impl Daemon {
                 (Listener::Tcp(listener), addr.into())
             }
         };
-        let metrics = Arc::new(DaemonMetrics::default());
-        let tel = DaemonTelemetry::new();
+        let tel = Arc::new(DaemonTelemetry::new());
         let mut farm_cfg = config.farm.clone();
         farm_cfg.fault = None;
         let fault_launches = if config.farm_fault_once.is_some() {
@@ -1023,8 +904,7 @@ impl Daemon {
             cfg: farm_cfg,
             base: config.base.clone(),
             fault: Mutex::new((config.farm_fault_once, fault_launches)),
-            metrics: metrics.clone(),
-            tel: tel.farm_telemetry(),
+            tel: tel.clone(),
             state: Mutex::new(FarmState::default()),
             turn: Condvar::new(),
             strikes: Mutex::new(HashMap::new()),
@@ -1034,7 +914,6 @@ impl Daemon {
         let runners = config.runners.max(1);
         let shared = Arc::new(DaemonShared {
             config,
-            metrics,
             tel,
             farm,
             jobs: Mutex::new(HashMap::new()),
@@ -1083,14 +962,14 @@ impl DaemonHandle {
         &self.addr
     }
 
-    /// A local (wire-free) metrics snapshot.
+    /// A local (wire-free) typed read of the daemon's registry.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.tel.snapshot()
     }
 
-    /// The daemon's always-on btel registry (queue-depth gauge,
-    /// admission rejects, per-tenant compile throughput) — what the
-    /// MetricsText frame and `bintuner metrics` render.
+    /// The daemon's always-on btel registry — the one store of every
+    /// daemon counter, and what the MetricsText frame and `bintuner
+    /// metrics` render.
     pub fn registry(&self) -> Arc<btel::Registry> {
         self.shared.tel.registry.clone()
     }
@@ -1121,26 +1000,14 @@ impl DaemonHandle {
         }
         // Every job still queued dies Cancelled, visibly.
         let drained: Vec<u64> = self.shared.queue.lock().unwrap().drain(..).collect();
-        if !drained.is_empty() {
-            let mut jobs = self.shared.jobs.lock().unwrap();
-            for job in drained {
-                self.shared
-                    .metrics
-                    .queue_depth
-                    .fetch_sub(1, Ordering::Relaxed);
-                self.shared.tel.queue_depth.add(-1);
-                self.shared
-                    .metrics
-                    .cancelled
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(entry) = jobs.get_mut(&job) {
-                    entry.state = JobState::Cancelled;
-                    entry.spec = None;
-                    entry.outcome = Some(Err("daemon shut down".into()));
-                }
-            }
-            drop(jobs);
-            self.shared.done.notify_all();
+        for job in drained {
+            self.shared.tel.queue_depth.add(-1);
+            settle(
+                &self.shared,
+                job,
+                JobState::Cancelled,
+                Err("daemon shut down".into()),
+            );
         }
         self.shared
             .farm
@@ -1265,18 +1132,6 @@ impl DaemonClient {
         match self.call(&DaemonFrame::FetchResult { job })? {
             DaemonFrame::ResultReply { outcome, .. } => Ok(outcome),
             _ => Err(EvaldError::Protocol("unexpected reply to FetchResult")),
-        }
-    }
-
-    /// Fetch a metrics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures.
-    pub fn metrics(&mut self) -> Result<MetricsSnapshot, EvaldError> {
-        match self.call(&DaemonFrame::Metrics)? {
-            DaemonFrame::MetricsReply { snapshot } => Ok(snapshot),
-            _ => Err(EvaldError::Protocol("unexpected reply to Metrics")),
         }
     }
 

@@ -267,10 +267,8 @@ pub struct EngineTelemetry {
     compiles_full: Arc<btel::Counter>,
     compiles_ast_reuse: Arc<btel::Counter>,
     compiles_lower_reuse: Arc<btel::Counter>,
-    stage_check: Arc<btel::Histogram>,
-    stage_ast: Arc<btel::Histogram>,
-    stage_lower: Arc<btel::Histogram>,
-    stage_mir: Arc<btel::Histogram>,
+    /// `bintuner_engine_stage_seconds`, indexed by [`Stage`].
+    stages: [Arc<btel::Histogram>; 4],
     miss_seconds: Arc<btel::Histogram>,
     batch_seconds: Arc<btel::Histogram>,
 }
@@ -315,10 +313,7 @@ impl EngineTelemetry {
             compiles_full: compiles("full"),
             compiles_ast_reuse: compiles("ast"),
             compiles_lower_reuse: compiles("lower"),
-            stage_check: stage("check"),
-            stage_ast: stage("ast"),
-            stage_lower: stage("lower"),
-            stage_mir: stage("mir"),
+            stages: Stage::NAMES.map(stage),
             miss_seconds: registry.histogram(
                 "bintuner_engine_miss_seconds",
                 "wall clock of one compiled-and-scored miss",
@@ -779,20 +774,32 @@ impl<'a> FitnessEngine<'a> {
         )
     }
 
-    /// Run the machine-level stage, observing its wall clock into the
-    /// installed telemetry (Off mode: a plain `stage_mir` call, no
-    /// clock read). `stage_parent != 0` additionally records a `mir`
-    /// span under that parent.
+    /// Close one run of `stage` begun at `start` and return its wall
+    /// seconds. With telemetry installed the wall is observed into the
+    /// stage's histogram and, when tracing (`stage_parent != 0`),
+    /// recorded as a span under `stage_parent`. Callers that need no
+    /// wall clock in Off mode skip both the `start` read and this call.
+    fn stage_done(&self, stage: Stage, stage_parent: u64, start: Instant) -> f64 {
+        let secs = start.elapsed().as_secs_f64();
+        if let Some(tel) = &self.tel {
+            tel.stages[stage as usize].observe_seconds(secs);
+            if stage_parent != 0 {
+                tel.tracer
+                    .record(Stage::NAMES[stage as usize], stage_parent, start);
+            }
+        }
+        secs
+    }
+
+    /// Run the machine-level stage, observed as [`Stage::Mir`] (Off
+    /// mode: a plain `stage_mir` call, no clock read).
     fn mir_timed(&self, lowered: Binary, eff: &EffectConfig, stage_parent: u64) -> Binary {
-        let Some(tel) = &self.tel else {
+        if self.tel.is_none() {
             return self.compiler.stage_mir(lowered, eff);
-        };
+        }
         let t = Instant::now();
         let bin = self.compiler.stage_mir(lowered, eff);
-        tel.stage_mir.observe_seconds(t.elapsed().as_secs_f64());
-        if stage_parent != 0 {
-            tel.tracer.record("mir", stage_parent, t);
-        }
+        self.stage_done(Stage::Mir, stage_parent, t);
         bin
     }
 
@@ -827,13 +834,7 @@ impl<'a> FitnessEngine<'a> {
                 let ast = self.artifact_ast(plan.ast_digest, eff);
                 let t = Instant::now();
                 let lowered = self.compiler.stage_lower(&ast, eff, self.arch);
-                let lower_secs = t.elapsed().as_secs_f64();
-                if let Some(tel) = &self.tel {
-                    tel.stage_lower.observe_seconds(lower_secs);
-                    if stage_parent != 0 {
-                        tel.tracer.record("lower", stage_parent, t);
-                    }
-                }
+                let lower_secs = self.stage_done(Stage::Lower, stage_parent, t);
                 if plan.retain_lower {
                     let mut values = self.artifact_values.lock().unwrap();
                     let b = values
@@ -863,33 +864,39 @@ impl<'a> FitnessEngine<'a> {
     /// Compile + score one miss with the artifact cache disabled: the
     /// full staged pipeline, nothing shared, nothing retained.
     fn evaluate_full(&self, eff: &EffectConfig, stage_parent: u64) -> CacheEntry {
-        let bin = match &self.tel {
-            None => {
-                let optimized = self.compiler.stage_ast(self.module, eff);
-                let lowered = self.compiler.stage_lower(&optimized, eff, self.arch);
-                self.compiler.stage_mir(lowered, eff)
-            }
-            Some(tel) => {
-                let t = Instant::now();
-                let optimized = self.compiler.stage_ast(self.module, eff);
-                tel.stage_ast.observe_seconds(t.elapsed().as_secs_f64());
-                if stage_parent != 0 {
-                    tel.tracer.record("ast", stage_parent, t);
-                }
-                let t = Instant::now();
-                let lowered = self.compiler.stage_lower(&optimized, eff, self.arch);
-                tel.stage_lower.observe_seconds(t.elapsed().as_secs_f64());
-                if stage_parent != 0 {
-                    tel.tracer.record("lower", stage_parent, t);
-                }
-                self.mir_timed(lowered, eff, stage_parent)
-            }
+        let bin = if self.tel.is_none() {
+            let optimized = self.compiler.stage_ast(self.module, eff);
+            let lowered = self.compiler.stage_lower(&optimized, eff, self.arch);
+            self.compiler.stage_mir(lowered, eff)
+        } else {
+            let t = Instant::now();
+            let optimized = self.compiler.stage_ast(self.module, eff);
+            self.stage_done(Stage::Ast, stage_parent, t);
+            let t = Instant::now();
+            let lowered = self.compiler.stage_lower(&optimized, eff, self.arch);
+            self.stage_done(Stage::Lower, stage_parent, t);
+            self.mir_timed(lowered, eff, stage_parent)
         };
         CacheEntry {
             fitness: self.baseline.score(&binrep::encode_binary(&bin)),
             failed: false,
         }
     }
+}
+
+/// A compile-pipeline stage, as observed by
+/// [`FitnessEngine::stage_done`].
+#[derive(Clone, Copy)]
+enum Stage {
+    Check,
+    Ast,
+    Lower,
+    Mir,
+}
+
+impl Stage {
+    /// Span names and `stage` label values, indexed by the variant.
+    const NAMES: [&'static str; 4] = ["check", "ast", "lower", "mir"];
 }
 
 /// Which tier resolved a genome during partition.
@@ -946,11 +953,8 @@ impl Evaluator for FitnessEngine<'_> {
                     .then(|| EffectConfig::from_flags(profile, g))
             })
             .collect();
-        if let (Some(tel), Some(t)) = (&self.tel, check_start) {
-            tel.stage_check.observe_seconds(t.elapsed().as_secs_f64());
-            if stage_parent != 0 {
-                tel.tracer.record("check", stage_parent, t);
-            }
+        if let Some(t) = check_start {
+            self.stage_done(Stage::Check, stage_parent, t);
         }
 
         // Partition against the cache tiers: exact flag vector first,
@@ -1184,13 +1188,7 @@ impl Evaluator for FitnessEngine<'_> {
                     for &(digest, slot) in &fresh_ast {
                         let t = Instant::now();
                         let _ = self.artifact_ast(digest, misses[slot].1);
-                        ast_wall[slot] = t.elapsed().as_secs_f64();
-                        if let Some(tel) = &self.tel {
-                            tel.stage_ast.observe_seconds(ast_wall[slot]);
-                            if stage_parent != 0 {
-                                tel.tracer.record("ast", stage_parent, t);
-                            }
-                        }
+                        ast_wall[slot] = self.stage_done(Stage::Ast, stage_parent, t);
                     }
                 } else {
                     let fresh_ref = &fresh_ast;
@@ -1205,13 +1203,7 @@ impl Evaluator for FitnessEngine<'_> {
                                         let (digest, slot) = fresh_ref[i];
                                         let t = Instant::now();
                                         let _ = self.artifact_ast(digest, misses_ref[slot].1);
-                                        let wall = t.elapsed().as_secs_f64();
-                                        if let Some(tel) = &self.tel {
-                                            tel.stage_ast.observe_seconds(wall);
-                                            if stage_parent != 0 {
-                                                tel.tracer.record("ast", stage_parent, t);
-                                            }
-                                        }
+                                        let wall = self.stage_done(Stage::Ast, stage_parent, t);
                                         part.push((slot, wall));
                                         i += producers;
                                     }

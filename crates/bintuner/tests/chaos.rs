@@ -15,7 +15,7 @@
 //!   under its `bintuner_farm_*` / `bintuner_daemon_*` family.
 
 use bintuner::daemon::wire::{JobState, RejectCode};
-use bintuner::daemon::{Daemon, DaemonClient, DaemonConfig};
+use bintuner::daemon::{Daemon, DaemonClient, DaemonConfig, DaemonHandle};
 use bintuner::{
     Backend, LivenessConfig, ProcessFarm, ServiceConfig, TransportKind, TuneResult, Tuner,
     TunerConfig, WorkerMode,
@@ -187,6 +187,20 @@ fn daemon_config(transport: TransportKind, store: &ScratchStore, evals: usize) -
     }
 }
 
+/// The exactly-once terminal rule on a quiescent daemon: every accepted
+/// job sits in exactly one terminal counter, and a cancelled or expired
+/// job is not also a failure.
+fn assert_terminal_states_reconcile(daemon: &DaemonHandle) {
+    let s = daemon.metrics_snapshot();
+    assert_eq!((s.queue_depth, s.running), (0, 0), "daemon is quiescent");
+    assert_eq!(s.failed, 0, "a cancelled or expired job is not a failure");
+    assert_eq!(
+        s.accepted,
+        s.completed + s.failed + s.cancelled + s.deadline_exceeded,
+        "each accepted job settles in exactly one terminal state: {s:?}"
+    );
+}
+
 /// A module that kills every fresh farm is *poison*, and the daemon
 /// must learn that: after `quarantine_strikes` consecutive failures the
 /// module is refused up front — no relaunch, no farm churn — with the
@@ -314,6 +328,7 @@ fn job_deadlines_reject_expire_and_pass_with_types() {
         .fetch_result(job)
         .expect("fetch")
         .expect("a generous deadline changes nothing");
+    assert_terminal_states_reconcile(&daemon);
     daemon.shutdown();
 }
 
@@ -355,8 +370,8 @@ fn cancel_reaches_a_running_job(transport: TransportKind, name: &str) {
     assert!(message.contains("cancelled"), "{message}");
     let (state, _, _) = client.status(job).unwrap();
     assert_eq!(state, JobState::Cancelled);
-    let snapshot = client.metrics().unwrap();
-    assert_eq!(snapshot.cancelled, 1);
+    assert_eq!(daemon.metrics_snapshot().cancelled, 1);
+    assert_terminal_states_reconcile(&daemon);
     daemon.shutdown();
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Before this crate, the reproduction's telemetry was three islands
 //! that could only be inspected after a run ended: `EngineStats`
-//! counters, `ServiceStats` farm aggregates, and `DaemonMetrics`
+//! counters, `ServiceStats` farm aggregates, and the daemon's
 //! atomics — each with its own hand-rolled rate math (two separate EWMA
 //! implementations, three copies of hit-rate arithmetic). This crate is
 //! the single substrate they all share:
