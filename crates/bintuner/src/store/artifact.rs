@@ -23,7 +23,7 @@
 //! [`StoreLock`] on the log across saves, atomic tmp+rename when
 //! eviction forces a rewrite.
 
-use super::{LoadReport, SaveOutcome, StoreLock};
+use super::{timed, LoadReport, SaveOutcome, StoreLock};
 use bytes::BufMut;
 use minicc::fnv1a32 as checksum;
 use std::collections::HashMap;
@@ -454,24 +454,13 @@ impl ArtifactStore {
             || self.file_bytes + pending_bytes > self.retention.max_bytes
             || self.live_bytes * 2 < self.file_bytes;
         let tel = self.tel.clone();
-        match &tel {
-            None => {
-                if compact {
-                    self.rewrite(&path)?;
-                } else {
-                    self.append(&path)?;
-                }
+        timed(tel.as_deref(), || {
+            if compact {
+                self.rewrite(&path)
+            } else {
+                self.append(&path)
             }
-            Some(save_seconds) => {
-                let t = std::time::Instant::now();
-                if compact {
-                    self.rewrite(&path)?;
-                } else {
-                    self.append(&path)?;
-                }
-                save_seconds.observe_seconds(t.elapsed().as_secs_f64());
-            }
-        }
+        })?;
         Ok(SaveOutcome::Written)
     }
 

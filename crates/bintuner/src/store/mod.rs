@@ -37,12 +37,10 @@
 //!   exactly the damaged suffix, and a damaged manifest is rebuilt from
 //!   the shard files themselves. A torn append therefore loses at most
 //!   the interrupted run's new entries in one shard.
-//! * **v3 migration** — a single-file v3 store at the path is parsed
-//!   losslessly on load (every valid record kept, count preserved in
-//!   [`LoadReport`]) and restructured into the sharded directory on the
-//!   next save, under a whole-store lock; the flip is staged in a
-//!   sibling directory and `rename`d so a crash mid-migration leaves
-//!   either the old file or the complete new directory.
+//! * **Creation** — the first save of a new store (or one replacing a
+//!   foreign file) stages the complete directory in a sibling and
+//!   `rename`s it into place under a whole-store lock, so a crash
+//!   mid-creation leaves either the old path or the complete directory.
 //! * **Generations** — every fitness record carries the store's
 //!   monotonic generation at insertion time; the manifest records the
 //!   generation the *next* load should stamp with. One load→save cycle
@@ -57,17 +55,19 @@
 //! encoding changes, so stale files degrade to a cold start instead of
 //! being misread. Version 2 added the flag bitmap and module-features
 //! records; version 3 added the per-record generation counter; version 4
-//! sharded the single file into the manifest + shard-log directory
-//! (v3 files still load, one version back, via the migration path).
+//! sharded the single file into the manifest + shard-log directory. A
+//! single-file store of an older version is a cold start like any other
+//! version mismatch.
 //!
 //! Concurrency: one store value is owned by one tuning run at a time
 //! (the engine wraps it in a `Mutex`), and *within* a service run the
 //! evaluation server is the single writer per shard — clients only ship
 //! results back. Two *processes* sharing one `cache_path` are
-//! coordinated per shard by advisory lock files: the loser of a race
-//! degrades to skipping that shard's save ([`SaveOutcome::SkippedLocked`],
-//! surfaced through `PersistSummary`, pending kept for a retry), never
-//! to interleaved writes.
+//! coordinated per shard by advisory kernel file locks ([`StoreLock`]):
+//! the loser of a race degrades to skipping that shard's save
+//! ([`SaveOutcome::SkippedLocked`], surfaced through `PersistSummary`,
+//! pending kept for a retry), never to interleaved writes. The lock
+//! files persist beside the files they guard.
 
 mod artifact;
 mod index;
@@ -78,13 +78,12 @@ pub use artifact::{
     ArtifactRetention, ArtifactStore, AstArtifactKey, LowerArtifactKey, PendingArtifacts,
 };
 pub use lock::StoreLock;
-pub use shard::{shard_for, shard_for_module, write_v3_file};
+pub use shard::{shard_for, shard_for_module};
 
 use binrep::Arch;
 use index::ShardIndex;
 use minicc::fnv1a32 as checksum;
 use minicc::{CompilerKind, ModuleFeatures};
-use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -96,8 +95,7 @@ pub const MAGIC: [u8; 4] = *b"BTFS";
 /// canonical encodings behind [`minicc::ast::Module::content_hash`],
 /// [`minicc::EffectConfig::stable_digest`], and the
 /// [`minicc::ModuleFeatures`] component meanings — a mismatch is a clean
-/// cold start, never a misread. The sole exception is one version back:
-/// a version-3 single file is migrated losslessly.
+/// cold start, never a misread.
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Widest flag vector a stored bitmap can represent. Both modelled
@@ -273,10 +271,10 @@ pub struct LoadReport {
     /// Trailing bytes dropped (truncation or checksum corruption).
     pub dropped_bytes: usize,
     /// A file carried a different [`FORMAT_VERSION`] — cold start for
-    /// its contents (except version 3, which migrates).
+    /// its contents.
     pub version_mismatch: bool,
-    /// A header (store manifest, shard log, or legacy file) was not ours
-    /// — cold start for its contents.
+    /// A header (store manifest, shard log, or a plain file at the store
+    /// path) was not ours — cold start for its contents.
     pub malformed_header: bool,
     /// Nothing existed at the path — clean first run.
     pub missing: bool,
@@ -296,7 +294,7 @@ pub enum SaveOutcome {
     /// pending, or the store has no backing file).
     Written,
     /// Another live process held an advisory lock for at least one shard
-    /// (or the whole store, during migration): that part of the save was
+    /// (or the whole store, during creation): that part of the save was
     /// skipped and its pending entries remain queued for a retry. Only
     /// the warm start for future runs is deferred — never an error, per
     /// the degrade-don't-panic contract.
@@ -313,10 +311,8 @@ enum Layout {
     Missing,
     /// A v4 store directory: the steady state. Shards load lazily.
     Sharded,
-    /// A v3 single file, parsed losslessly: restructured on save.
-    LegacyFile,
-    /// Unreadable/foreign content at the path: cold start, replaced on
-    /// save.
+    /// A plain file at the path (an older single-file store or foreign
+    /// bytes): cold start, replaced on save.
     Foreign,
 }
 
@@ -414,16 +410,15 @@ impl FitnessStore {
     /// Load a store from `path` with the default shard geometry. Never
     /// fails: a missing path is a clean first run, a foreign or
     /// version-mismatched file is a cold start (replaced on the next
-    /// save), a v3 single file migrates losslessly, and a damaged shard
-    /// tail is dropped while the valid prefix is kept. Inspect
-    /// [`FitnessStore::report`] for what happened.
+    /// save), and a damaged shard tail is dropped while the valid prefix
+    /// is kept. Inspect [`FitnessStore::report`] for what happened.
     pub fn load(path: impl Into<PathBuf>) -> FitnessStore {
         FitnessStore::load_with_shard_count(path, DEFAULT_SHARD_COUNT)
     }
 
     /// [`FitnessStore::load`] with an explicit shard count for stores
     /// created by this call. An existing directory keeps its manifest's
-    /// geometry; the count only shapes new stores and v3 migrations.
+    /// geometry; the count only shapes new stores.
     pub fn load_with_shard_count(path: impl Into<PathBuf>, shard_count: usize) -> FitnessStore {
         let path = path.into();
         let mut store = FitnessStore {
@@ -470,7 +465,7 @@ impl FitnessStore {
     /// A directory without a readable manifest: rebuild the geometry
     /// from the shard files themselves, eagerly, and queue a manifest
     /// rewrite. Loses nothing but the generation counter's exact value
-    /// (recomputed as `max(stored) + 1`, the v3 rule).
+    /// (recomputed as `max(stored) + 1`).
     fn recover_dir(&mut self, dir: &Path) {
         self.report.malformed_header = true;
         self.manifest_dirty = true;
@@ -520,44 +515,21 @@ impl FitnessStore {
         self.manifest_gen = self.generation;
     }
 
-    /// A plain file at the path: a v3 store (migrated losslessly) or
-    /// foreign bytes (cold start).
+    /// A plain file at the path: never a store this version reads. A
+    /// `BTFS` file is another format version (v3 and older were single
+    /// files), anything else is foreign; both are a cold start that the
+    /// next save replaces with the store directory.
     fn load_file(&mut self, path: &Path) {
-        let flat = match fs::read(path) {
-            Ok(bytes) => shard::parse_v3(&bytes),
-            Err(_) => {
-                // Races between metadata and read degrade to missing.
-                self.report.missing = true;
-                self.shards = full_slots(self.shard_count);
-                return;
-            }
-        };
-        self.report = flat.report;
         self.shards = full_slots(self.shard_count);
-        if flat.report.malformed_header || flat.report.version_mismatch {
-            self.layout = Layout::Foreign;
+        let Ok(bytes) = fs::read(path) else {
+            // Races between metadata and read degrade to missing.
+            self.report.missing = true;
             return;
-        }
-        self.layout = Layout::LegacyFile;
-        for (key, value) in flat.entries {
-            let idx = shard_for(&key, self.shard_count);
-            self.shards[idx].as_mut().unwrap().absorb_entry(key, value);
-        }
-        for (hash, feats) in flat.features {
-            let idx = shard_for_module(hash, self.shard_count);
-            self.shards[idx]
-                .as_mut()
-                .unwrap()
-                .absorb_features(hash, feats);
-        }
-        self.generation = self
-            .shards
-            .iter()
-            .flatten()
-            .flat_map(|s| s.entries.values())
-            .map(|v| v.generation)
-            .max()
-            .map_or(0, |g| g.saturating_add(1));
+        };
+        self.layout = Layout::Foreign;
+        self.report.version_mismatch = bytes.starts_with(&MAGIC);
+        self.report.malformed_header = !self.report.version_mismatch;
+        self.report.dropped_bytes = bytes.len();
     }
 
     /// Materialize shard `idx`, folding its load telemetry into the
@@ -611,7 +583,7 @@ impl FitnessStore {
     }
 
     /// Live fitness entries per shard (forces a full load) — diagnostics
-    /// for the shard-assignment and migration tests.
+    /// for the shard-assignment tests.
     pub fn shard_entry_counts(&mut self) -> Vec<usize> {
         self.ensure_all();
         self.shards
@@ -767,11 +739,10 @@ impl FitnessStore {
     /// *skipped* — [`SaveOutcome::SkippedLocked`], pending kept for a
     /// retry — rather than blocked on or corrupted.
     ///
-    /// A legacy v3 file (or a missing/foreign path) is migrated to the
-    /// sharded directory here, under a whole-store lock: the new
-    /// directory is fully staged at `<path>.migrate` and `rename`d into
-    /// place, so a crash leaves either the old store or the complete new
-    /// one.
+    /// A missing path (or a foreign file) becomes the sharded directory
+    /// here, under a whole-store lock: the new directory is fully staged
+    /// at `<path>.migrate` and `rename`d into place, so a crash leaves
+    /// either the old path or the complete new store.
     ///
     /// # Errors
     ///
@@ -787,13 +758,13 @@ impl FitnessStore {
         if self.layout == Layout::Sharded {
             self.save_sharded(&path)
         } else {
-            self.migrate(&path)
+            self.create(&path)
         }
     }
 
     /// First save of a non-sharded layout: stage the v4 directory and
     /// flip the path over to it.
-    fn migrate(&mut self, path: &Path) -> io::Result<SaveOutcome> {
+    fn create(&mut self, path: &Path) -> io::Result<SaveOutcome> {
         let has_state = self
             .shards
             .iter()
@@ -806,7 +777,7 @@ impl FitnessStore {
             return Ok(SaveOutcome::SkippedLocked);
         };
         // Re-check under the lock: a concurrent process may have already
-        // migrated this path. Adopt its geometry and fall through to the
+        // created this path. Adopt its geometry and fall through to the
         // ordinary per-shard save (which merges, losing nothing).
         if fs::metadata(path).map(|m| m.is_dir()).unwrap_or(false) {
             let manifest = fs::read(path.join("manifest"))
@@ -823,51 +794,6 @@ impl FitnessStore {
             self.layout = Layout::Sharded;
             drop(_lock);
             return self.save_sharded(path);
-        }
-        // Merge any records a concurrent v3-era writer appended between
-        // our load and this lock: disk wins except for keys we have
-        // pending ourselves.
-        if self.layout == Layout::LegacyFile {
-            if let Ok(bytes) = fs::read(path) {
-                let fresh = shard::parse_v3(&bytes);
-                if !fresh.report.malformed_header && !fresh.report.version_mismatch {
-                    let pending_keys: HashSet<StoreKey> = self
-                        .shards
-                        .iter()
-                        .flatten()
-                        .flat_map(|s| s.pending.iter())
-                        .filter_map(|(_, r)| match r {
-                            PendingRecord::Fitness(k, _) => Some(*k),
-                            PendingRecord::Features(..) => None,
-                        })
-                        .collect();
-                    let pending_mods: HashSet<u64> = self
-                        .shards
-                        .iter()
-                        .flatten()
-                        .flat_map(|s| s.pending.iter())
-                        .filter_map(|(_, r)| match r {
-                            PendingRecord::Features(h, _) => Some(*h),
-                            PendingRecord::Fitness(..) => None,
-                        })
-                        .collect();
-                    for (key, value) in fresh.entries {
-                        if !pending_keys.contains(&key) {
-                            let idx = shard_for(&key, self.shard_count);
-                            self.shards[idx].as_mut().unwrap().absorb_entry(key, value);
-                        }
-                    }
-                    for (hash, feats) in fresh.features {
-                        if !pending_mods.contains(&hash) {
-                            let idx = shard_for_module(hash, self.shard_count);
-                            self.shards[idx]
-                                .as_mut()
-                                .unwrap()
-                                .absorb_features(hash, feats);
-                        }
-                    }
-                }
-            }
         }
         let fitness_written = self.pending_len() > 0;
         let manifest_gen = if fitness_written {
@@ -906,35 +832,30 @@ impl FitnessStore {
     }
 
     /// Re-route every in-memory record into a different shard geometry
-    /// (only reached when adopting a concurrently-migrated directory).
+    /// (only reached when adopting a concurrently created directory).
     fn reshard(&mut self, new_count: usize) {
-        let old: Vec<ShardIndex> = self
-            .shards
-            .drain(..)
-            .map(Option::unwrap_or_default)
-            .collect();
-        self.shard_count = new_count;
-        self.shards = full_slots(new_count);
-        for shard in old {
+        let mut shards: Vec<ShardIndex> = (0..new_count).map(|_| ShardIndex::default()).collect();
+        for shard in self.shards.drain(..).flatten() {
             for (key, value) in shard.entries {
-                let idx = shard_for(&key, new_count);
-                self.shards[idx].as_mut().unwrap().absorb_entry(key, value);
+                shards[shard_for(&key, new_count)]
+                    .entries
+                    .insert(key, value);
             }
             for (hash, feats) in shard.features {
-                let idx = shard_for_module(hash, new_count);
-                self.shards[idx]
-                    .as_mut()
-                    .unwrap()
-                    .absorb_features(hash, feats);
+                shards[shard_for_module(hash, new_count)]
+                    .features
+                    .insert(hash, feats);
             }
             for (seq, rec) in shard.pending {
                 let idx = match &rec {
                     PendingRecord::Fitness(k, _) => shard_for(k, new_count),
                     PendingRecord::Features(h, _) => shard_for_module(*h, new_count),
                 };
-                self.shards[idx].as_mut().unwrap().pending.push((seq, rec));
+                shards[idx].pending.push((seq, rec));
             }
         }
+        self.shard_count = new_count;
+        self.shards = shards.into_iter().map(Some).collect();
     }
 
     /// Steady-state save: write each touched shard under its own lock.
@@ -957,15 +878,9 @@ impl FitnessStore {
                 continue;
             };
             fitness_written |= shard.pending_fitness() > 0;
-            match &self.tel {
-                None => shard::save_shard(dir, idx, count, shard, false)?,
-                Some(tel) => {
-                    let t = std::time::Instant::now();
-                    shard::save_shard(dir, idx, count, shard, false)?;
-                    tel.shard_save_seconds
-                        .observe_seconds(t.elapsed().as_secs_f64());
-                }
-            }
+            timed(self.tel.as_ref().map(|t| &*t.shard_save_seconds), || {
+                shard::save_shard(dir, idx, count, shard, false)
+            })?;
         }
         let manifest_gen = if fitness_written {
             self.generation.saturating_add(1)
@@ -995,7 +910,7 @@ impl FitnessStore {
     }
 
     /// Compact every shard (each under its own lock; contended shards
-    /// are skipped). A non-sharded layout is saved (migrated) first.
+    /// are skipped). A non-sharded layout is saved (created) first.
     pub fn compact(&mut self) -> io::Result<SaveOutcome> {
         if self.layout != Layout::Sharded {
             if self.save()? == SaveOutcome::SkippedLocked {
@@ -1044,17 +959,23 @@ impl FitnessStore {
             }
             return Ok(SaveOutcome::SkippedLocked);
         };
-        match &tel {
-            None => shard::save_shard(&dir, idx, count, shard, true)?,
-            Some(tel) => {
-                let t = std::time::Instant::now();
-                shard::save_shard(&dir, idx, count, shard, true)?;
-                tel.compact_seconds
-                    .observe_seconds(t.elapsed().as_secs_f64());
-            }
-        }
+        timed(tel.as_ref().map(|t| &*t.compact_seconds), || {
+            shard::save_shard(&dir, idx, count, shard, true)
+        })?;
         Ok(SaveOutcome::Written)
     }
+}
+
+/// Run a store write, observing its wall time in `hist` when telemetry
+/// is installed. Without it (`None`, the Off mode) no clock is read.
+fn timed<T>(hist: Option<&btel::Histogram>, op: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
+    let Some(hist) = hist else {
+        return op();
+    };
+    let t = std::time::Instant::now();
+    let out = op()?;
+    hist.observe_seconds(t.elapsed().as_secs_f64());
+    Ok(out)
 }
 
 fn encode_manifest(shard_count: usize, generation: u32) -> [u8; MANIFEST_LEN] {

@@ -218,13 +218,11 @@ fn truncated_shard_keeps_valid_prefix() {
 
 #[test]
 fn save_after_torn_append_truncates_and_appends_cleanly() {
-    // The documented cost of the compound race the rename-based lock
-    // claim leaves open (see `StoreLock::acquire`): two writers both
-    // believe they hold one shard and their appends interleave, the
-    // loser's torn. Pin that this degrades exactly to the
-    // corruption-tolerant load — whole duplicate records dedup, the
-    // torn tail drops, the next save rewrites a clean shard — and
-    // never to a wedge or a load failure.
+    // A writer killed mid-append (or a writer that ignores the lock)
+    // leaves a duplicate record and a torn one behind. Pin that this
+    // degrades exactly to the corruption-tolerant load — whole
+    // duplicate records dedup, the torn tail drops, the next save
+    // rewrites a clean shard — and never to a wedge or a load failure.
     use std::io::Write as _;
     let path = scratch("lost_race");
     let mut store = FitnessStore::load_with_shard_count(&path, 1);
@@ -233,9 +231,8 @@ fn save_after_torn_append_truncates_and_appends_cleanly() {
     }
     store.save().unwrap();
     let shard_file = path.join("shard-00.log");
-    // The lost racer's unlocked append: one whole record (a duplicate
-    // of an existing entry) followed by a half record — the worst
-    // interleaving a momentary double-hold can produce.
+    // The unlocked append: one whole record (a duplicate of an
+    // existing entry) followed by a half record.
     let bytes = fs::read(&shard_file).unwrap();
     let start = SHARD_HEADER_LEN;
     let one_record = &bytes[start..start + RECORD_LEN];
@@ -251,11 +248,10 @@ fn save_after_torn_append_truncates_and_appends_cleanly() {
     assert_eq!(recovered.len(), 4, "duplicate dedups, torn tail drops");
     assert_eq!(recovered.report().dropped_bytes, RECORD_LEN / 2);
     // The surviving writer keeps functioning: its next save compacts
-    // the damage away and the lock protocol cycles on the repaired
-    // shard (the lock file is gone after a successful save).
+    // the damage away and releases the repaired shard's lock.
     recovered.insert(key(8), value(8));
     assert_eq!(recovered.save().unwrap(), SaveOutcome::Written);
-    assert!(!StoreLock::lock_path(&shard_file).exists());
+    assert!(StoreLock::acquire(&shard_file).unwrap().is_some());
     let mut clean = FitnessStore::load(&path);
     assert_eq!(clean.len(), 5);
     assert_eq!(clean.report().dropped_bytes, 0);
@@ -311,84 +307,32 @@ fn foreign_shard_header_is_a_cold_shard() {
 }
 
 #[test]
-fn v3_single_file_migrates_losslessly() {
-    let path = scratch("v3_migrate");
-    let entries: Vec<_> = (0..24).map(|i| (key(i), value(i))).collect();
-    let features = vec![(0xFEA7u64, feats(3)), (0xFEA8, feats(4))];
-    write_v3_file(&path, &entries, &features).unwrap();
-
-    // Load: every record is kept and counted; the path is still a file.
-    let mut store = FitnessStore::load(&path);
-    assert_eq!(store.report().valid_records, 26);
-    assert_eq!(store.report().dropped_bytes, 0);
-    assert!(!store.report().version_mismatch);
-    assert_eq!(store.len(), 24);
-    assert!(path.is_file());
-    for (k, v) in &entries {
-        assert_eq!(store.get(k).unwrap().fitness.to_bits(), v.fitness.to_bits());
-    }
-    assert_eq!(store.module_features(0xFEA7), Some(feats(3)));
-
-    // Save: the file becomes the sharded directory, transparently.
-    store.insert(key(100), value(100));
-    store.save().unwrap();
-    assert!(path.is_dir());
-    let mut migrated = FitnessStore::load(&path);
-    assert_eq!(migrated.len(), 25);
-    for (k, v) in &entries {
-        assert_eq!(
-            migrated.get(k).unwrap().fitness.to_bits(),
-            v.fitness.to_bits()
-        );
-    }
-    assert_eq!(migrated.module_features(0xFEA8), Some(feats(4)));
-    // No migration droppings.
-    let mut stage = path.as_os_str().to_owned();
-    stage.push(".migrate");
-    assert!(!PathBuf::from(stage).exists());
-    cleanup(&path);
-}
-
-#[test]
-fn v3_migration_preserves_record_ages() {
-    let path = scratch("v3_ages");
-    let mut old = value(1);
-    old.generation = 2;
-    write_v3_file(&path, &[(key(1), old)], &[]).unwrap();
-
-    let mut store = FitnessStore::load(&path);
-    assert_eq!(store.generation(), 3, "v3 rule: max(stored) + 1");
-    store.insert(key(2), value(2));
-    store.save().unwrap();
-
-    let mut migrated = FitnessStore::load(&path);
-    assert_eq!(migrated.get(&key(1)).unwrap().generation, 2);
-    assert_eq!(migrated.get(&key(2)).unwrap().generation, 3);
-    assert_eq!(migrated.generation(), 4);
-    cleanup(&path);
-}
-
-#[test]
 fn version_mismatch_is_a_cold_start() {
-    let path = scratch("version");
-    // A hypothetical v5 single file: not migratable, cold start.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    bytes.extend_from_slice(&[0xAB; 70]);
-    fs::write(&path, &bytes).unwrap();
+    // A v3 single file (one valid record after the 8-byte header) and a
+    // hypothetical v5 file: both are another version, so a cold start.
+    let mut v3_record = Vec::new();
+    shard::encode_fitness_record(&key(1), &value(1), &mut v3_record);
+    for (version, body) in [(3, v3_record), (FORMAT_VERSION + 1, vec![0xAB; 70])] {
+        let path = scratch(&format!("version_{version}"));
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&body);
+        fs::write(&path, &bytes).unwrap();
 
-    let mut store = FitnessStore::load(&path);
-    assert!(store.is_empty());
-    assert!(store.report().version_mismatch);
-    // Saving replaces the stale file with a current-version directory.
-    store.insert(key(3), value(3));
-    store.save().unwrap();
-    assert!(path.is_dir());
-    let mut reloaded = FitnessStore::load(&path);
-    assert!(!reloaded.report().version_mismatch);
-    assert_eq!(reloaded.len(), 1);
-    cleanup(&path);
+        let mut store = FitnessStore::load(&path);
+        assert!(store.is_empty(), "v{version} loaded records");
+        assert!(store.report().version_mismatch);
+        assert_eq!(store.generation(), 0);
+        // Saving replaces the stale file with a current-version directory.
+        store.insert(key(3), value(3));
+        store.save().unwrap();
+        assert!(path.is_dir());
+        let mut reloaded = FitnessStore::load(&path);
+        assert!(!reloaded.report().version_mismatch);
+        assert_eq!(reloaded.len(), 1);
+        cleanup(&path);
+    }
 }
 
 #[test]
@@ -529,13 +473,13 @@ fn generation_advances_one_per_load_save_cycle() {
 }
 
 #[test]
-fn contended_whole_store_lock_degrades_migration_to_a_skip() {
+fn contended_whole_store_lock_degrades_creation_to_a_skip() {
     let path = scratch("locked");
     let mut store = FitnessStore::load(&path);
     store.insert(key(1), value(1));
 
     let held = StoreLock::acquire(&path).unwrap().expect("lock free");
-    // A second acquire (same path, lock held by a live pid — ours)
+    // A second acquire of the held lock (even from this process)
     // reports busy instead of stealing.
     assert!(StoreLock::acquire(&path).unwrap().is_none());
     assert_eq!(store.save().unwrap(), SaveOutcome::SkippedLocked);
@@ -547,8 +491,36 @@ fn contended_whole_store_lock_degrades_migration_to_a_skip() {
     assert_eq!(store.save().unwrap(), SaveOutcome::Written);
     assert_eq!(store.pending_len(), 0);
     assert_eq!(FitnessStore::load(&path).len(), 1);
-    // The lock file does not outlive the save.
-    assert!(!StoreLock::lock_path(&path).exists());
+    // The save released the lock.
+    assert!(StoreLock::acquire(&path).unwrap().is_some());
+    cleanup(&path);
+}
+
+#[test]
+fn creation_adopts_a_concurrently_created_directory() {
+    // Two runs load the same missing path with different geometries;
+    // the 4-shard run saves first. The 16-shard run must adopt the
+    // directory it finds (re-routing its records into 4 shards), not
+    // replace it.
+    let path = scratch("adopt");
+    let mut late = FitnessStore::load(&path);
+    let mut early = FitnessStore::load_with_shard_count(&path, 4);
+    for i in 0..8 {
+        early.insert(key(i), value(i));
+        late.insert(key(100 + i), value(100 + i));
+    }
+    late.record_module_features(0xFEA7, feats(1));
+    assert_eq!(early.save().unwrap(), SaveOutcome::Written);
+    assert_eq!(late.save().unwrap(), SaveOutcome::Written);
+    assert_eq!(late.shard_count(), 4);
+
+    let mut merged = FitnessStore::load(&path);
+    assert_eq!(merged.shard_count(), 4);
+    assert_eq!(merged.len(), 16);
+    for i in (0..8).chain(100..108) {
+        assert_eq!(merged.get(&key(i)), Some(value(i)));
+    }
+    assert_eq!(merged.module_features(0xFEA7), Some(feats(1)));
     cleanup(&path);
 }
 
@@ -593,36 +565,28 @@ fn contended_shard_lock_skips_only_that_shard() {
 
 #[test]
 fn stale_lock_of_a_dead_process_is_reclaimed() {
+    // A leftover lock file of any content never blocks: a dead pid (an
+    // older build's crashed run), an empty file and garbage all save.
     let path = scratch("stale_lock");
-    // No live process has this pid (pid_max is far below u32::MAX).
-    fs::write(StoreLock::lock_path(&path), b"4294967294").unwrap();
-    let mut store = FitnessStore::load(&path);
-    store.insert(key(2), value(2));
-    assert_eq!(store.save().unwrap(), SaveOutcome::Written);
-    assert_eq!(FitnessStore::load(&path).len(), 1);
-    assert!(!StoreLock::lock_path(&path).exists());
-
-    // An *empty* lock file on a shard — an acquire killed between create
-    // and pid write — is a torn lock with no identifiable owner:
-    // reclaimed, not a permanent wedge.
-    let shard_file = path.join(format!(
-        "shard-{:02}.log",
-        shard_for(&key(3), DEFAULT_SHARD_COUNT)
-    ));
-    fs::write(StoreLock::lock_path(&shard_file), b"").unwrap();
-    store.insert(key(3), value(3));
-    assert_eq!(store.save().unwrap(), SaveOutcome::Written);
-    assert!(!StoreLock::lock_path(&shard_file).exists());
-
-    // A lock file with garbled non-empty content is foreign: left alone.
-    let shard4 = path.join(format!(
-        "shard-{:02}.log",
-        shard_for(&key(4), DEFAULT_SHARD_COUNT)
-    ));
-    fs::write(StoreLock::lock_path(&shard4), b"not a pid").unwrap();
-    store.insert(key(4), value(4));
-    assert_eq!(store.save().unwrap(), SaveOutcome::SkippedLocked);
-    fs::remove_file(StoreLock::lock_path(&shard4)).unwrap();
+    for (i, content) in ["4294967294", "", "not a pid"].into_iter().enumerate() {
+        let i = i as u64 + 2;
+        let shard_file = path.join(format!(
+            "shard-{:02}.log",
+            shard_for(&key(i), DEFAULT_SHARD_COUNT)
+        ));
+        if path.is_dir() {
+            fs::write(StoreLock::lock_path(&shard_file), content).unwrap();
+        }
+        fs::write(StoreLock::lock_path(&path), content).unwrap();
+        // A fresh load per round, so every save also bumps the
+        // generation under the whole-store lock.
+        let mut store = FitnessStore::load(&path);
+        store.insert(key(i), value(i));
+        assert_eq!(store.save().unwrap(), SaveOutcome::Written, "{content:?}");
+        assert!(StoreLock::acquire(&shard_file).unwrap().is_some());
+        assert!(StoreLock::acquire(&path).unwrap().is_some());
+    }
+    assert_eq!(FitnessStore::load(&path).len(), 3);
     cleanup(&path);
 }
 

@@ -13,15 +13,15 @@
 //! 3. **Concurrent stress** — readers, an appending writer, and a
 //!    compactor race over one directory. No reader may ever observe a
 //!    lost seed record or a phantom record.
-//! 4. **Differential vs v3** — the sharded layout is a physical
-//!    re-arrangement, not a semantics change: same gets, lossless
-//!    migration, and bit-identical tuning trajectories whether the warm
-//!    start comes from a v3 single file, a v4 directory, or a v4
-//!    directory behind the service backend.
+//! 4. **Differential across geometries** — sharding is a physical
+//!    re-arrangement, not a semantics change: the same gets as an
+//!    in-memory store, and bit-identical tuning trajectories whether the
+//!    warm start comes from a 1-shard directory, a 16-shard directory,
+//!    or a 16-shard directory behind the service backend.
 
 use bintuner::{
-    write_v3_file, ArtifactStore, Backend, FitnessStore, SaveOutcome, ServiceConfig, StoreKey,
-    StoredFitness, TuneResult, Tuner,
+    ArtifactStore, Backend, FitnessStore, SaveOutcome, ServiceConfig, StoreKey, StoredFitness,
+    TuneResult, Tuner,
 };
 use std::path::Path;
 use std::thread;
@@ -54,17 +54,31 @@ fn seed_entries(n: u64) -> Vec<(StoreKey, StoredFitness)> {
         .collect()
 }
 
-/// Build a saved v4 directory at `scratch` holding `entries`.
-fn build_store(scratch: &ScratchStore, entries: &[(StoreKey, StoredFitness)]) {
-    let mut store = FitnessStore::load(scratch.path());
+/// Save `entries` and `features` into a fresh store directory of
+/// `shard_count` shards.
+fn write_store(
+    scratch: &ScratchStore,
+    shard_count: usize,
+    entries: &[(StoreKey, StoredFitness)],
+    features: &[(u64, minicc::ModuleFeatures)],
+) {
+    let mut store = FitnessStore::load_with_shard_count(scratch.path(), shard_count);
     for (k, v) in entries {
         store.insert(*k, *v);
     }
-    let feats = tiny_loop_module("torture_seed", 2).features();
-    store.record_module_features(0x0DD5_EED1, feats);
-    store.record_module_features(0x0DD5_EED2, feats);
+    for (hash, feats) in features {
+        store.record_module_features(*hash, *feats);
+    }
     assert_eq!(store.save().unwrap(), SaveOutcome::Written);
-    assert!(scratch.path().is_dir(), "save must migrate to a directory");
+    assert!(scratch.path().is_dir(), "save must create a directory");
+}
+
+/// Build a saved default-geometry directory at `scratch` holding
+/// `entries` plus two module-features records.
+fn build_store(scratch: &ScratchStore, entries: &[(StoreKey, StoredFitness)]) {
+    let feats = tiny_loop_module("torture_seed", 2).features();
+    let features = [(0x0DD5_EED1, feats), (0x0DD5_EED2, feats)];
+    write_store(scratch, bintuner::DEFAULT_SHARD_COUNT, entries, &features);
 }
 
 /// Full (forced) load: total kept records and the report that goes with
@@ -306,40 +320,38 @@ fn concurrent_readers_writer_and_compactor_lose_nothing() {
 }
 
 #[test]
-fn sharded_gets_are_identical_to_v3_gets() {
+fn sharded_gets_are_identical_to_in_memory_gets() {
     let entries = seed_entries(48);
     let feats = tiny_loop_module("torture_diff", 2).features();
 
-    let v3 = ScratchStore::new("torture_diff_v3");
-    write_v3_file(v3.path(), &entries, &[(0xFEA7, feats)]).unwrap();
-    let v4 = ScratchStore::snapshot_of("torture_diff_v4", v3.path());
-    let mut migrated = FitnessStore::load(v4.path());
-    assert_eq!(migrated.save().unwrap(), SaveOutcome::Written);
-    assert!(v4.path().is_dir());
-    drop(migrated);
-
-    let mut legacy = FitnessStore::load(v3.path());
-    let mut sharded = FitnessStore::load(v4.path());
-    for (k, _) in &entries {
-        let a = legacy.get(k).map(|v| (v.fitness.to_bits(), v.failed));
-        let b = sharded.get(k).map(|v| (v.fitness.to_bits(), v.failed));
-        assert_eq!(a, b, "{k:?}");
-        assert!(a.is_some());
+    let mut oracle = FitnessStore::in_memory();
+    for (k, v) in &entries {
+        oracle.insert(*k, *v);
     }
-    for miss in [key(0xDEAD, 0), key(1, 99), key(u64::MAX, u128::MAX)] {
-        assert_eq!(legacy.get(&miss), None);
-        assert_eq!(sharded.get(&miss), None);
+    oracle.record_module_features(0xFEA7, feats);
+    for shard_count in [1, 16] {
+        let scratch = ScratchStore::new(&format!("torture_diff_{shard_count}"));
+        write_store(&scratch, shard_count, &entries, &[(0xFEA7, feats)]);
+        let mut sharded = FitnessStore::load(scratch.path());
+        assert_eq!(sharded.shard_count(), shard_count);
+        for (k, _) in &entries {
+            let a = oracle.get(k).map(|v| (v.fitness.to_bits(), v.failed));
+            let b = sharded.get(k).map(|v| (v.fitness.to_bits(), v.failed));
+            assert_eq!(a, b, "{shard_count} shards: {k:?}");
+            assert!(a.is_some());
+        }
+        for miss in [key(0xDEAD, 0), key(1, 99), key(u64::MAX, u128::MAX)] {
+            assert_eq!(oracle.get(&miss), None);
+            assert_eq!(sharded.get(&miss), None);
+        }
+        assert_eq!(oracle.len(), sharded.len());
+        assert_eq!(
+            oracle.module_features(0xFEA7),
+            sharded.module_features(0xFEA7)
+        );
+        // Lossless to the record: every entry plus the features record.
+        assert_eq!(sharded.report().valid_records, entries.len() + 1);
     }
-    assert_eq!(legacy.len(), sharded.len());
-    assert_eq!(
-        legacy.module_features(0xFEA7).is_some(),
-        sharded.module_features(0xFEA7).is_some()
-    );
-    // Migration is lossless to the record.
-    assert_eq!(
-        legacy.report().valid_records,
-        sharded.report().valid_records
-    );
 }
 
 /// Trajectory-and-telemetry equality: the strongest form of "the store
@@ -403,19 +415,19 @@ fn assert_same_run(a: &TuneResult, b: &TuneResult, what: &str) {
 }
 
 #[test]
-fn warm_tune_is_bit_identical_from_v3_file_v4_dir_and_service_backend() {
+fn warm_tune_is_bit_identical_from_1_shard_16_shard_and_service_backend() {
     let module = tiny_loop_module("torture_warm", 6);
 
-    // Fill a v4 store with one cold run.
+    // Fill a 16-shard store with one cold run.
     let filled = ScratchStore::new("torture_warm_fill");
     Tuner::new(cached_tuner(60, Some(&filled)))
         .tune(&module)
         .unwrap();
     assert!(filled.path().is_dir());
 
-    // Rebuild the identical record set as a legacy v3 single file, and
-    // strip the artifact sibling from the v4 copies so all three warm
-    // runs see the same bytes of warm-start state.
+    // Rebuild the identical record set in a 1-shard store, and strip
+    // the artifact sibling from the 16-shard copies so all three warm
+    // runs see the same warm-start state.
     let fs_view = CrashFs::new(filled.path());
     let v4_a = fs_view.without_file("torture_warm_v4a", "artifacts.log");
     let v4_b = fs_view.without_file("torture_warm_v4b", "artifacts.log");
@@ -423,17 +435,17 @@ fn warm_tune_is_bit_identical_from_v3_file_v4_dir_and_service_backend() {
     let entries = filled_store.entries();
     let features = filled_store.modules_with_features();
     assert!(!entries.is_empty());
-    let v3 = ScratchStore::new("torture_warm_v3");
-    write_v3_file(v3.path(), &entries, &features).unwrap();
+    let one_shard = ScratchStore::new("torture_warm_1shard");
+    write_store(&one_shard, 1, &entries, &features);
 
     let from_v4 = Tuner::new(cached_tuner(60, Some(&v4_a)))
         .tune(&module)
         .unwrap();
-    let from_v3 = Tuner::new(cached_tuner(60, Some(&v3)))
+    let from_one_shard = Tuner::new(cached_tuner(60, Some(&one_shard)))
         .tune(&module)
         .unwrap();
     assert!(from_v4.engine_stats.persistent_hits > 0);
-    assert_same_run(&from_v4, &from_v3, "v4 dir vs v3 file");
+    assert_same_run(&from_v4, &from_one_shard, "16 shards vs 1 shard");
 
     // And the deployment shape changes nothing either: the same sharded
     // store behind the service backend replays the same run.
