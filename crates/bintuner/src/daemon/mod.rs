@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod wire;
 
 use crate::service::{ServiceExecutor, ServiceHandle, SharedEvaldError};
-use crate::store::{ArtifactStore, AstArtifactKey, LowerArtifactKey};
+use crate::store::ArtifactStore;
 use crate::tuner::{Backend, TuneError, TuneResult, Tuner, TunerConfig};
 use crate::{MissExecutor, MissResult};
 use evald::transport::{
@@ -362,30 +362,7 @@ impl SharedFarm {
             return;
         }
         let mut store = ArtifactStore::load(path);
-        for a in ast {
-            store.insert_ast(
-                AstArtifactKey {
-                    body_hash: a.body_hash,
-                    compiler: a.compiler,
-                    ast_digest: a.ast_digest,
-                },
-                f64::from_bits(a.cost_bits),
-                a.blob,
-            );
-        }
-        for a in lower {
-            store.insert_lower(
-                LowerArtifactKey {
-                    body_hash: a.body_hash,
-                    compiler: a.compiler,
-                    arch: a.arch,
-                    ast_digest: a.ast_digest,
-                    lower_digest: a.lower_digest,
-                },
-                f64::from_bits(a.cost_bits),
-                a.blob,
-            );
-        }
+        store.insert_wire(ast, lower);
         // A skipped save (lock contended) only costs future warm
         // starts, never correctness — same contract as the tuner's.
         let _ = store.save();

@@ -69,6 +69,7 @@ use crate::store::{
     StoredFitness,
 };
 use binrep::{Arch, Binary};
+use evald::{WireAstArtifact, WireLowerArtifact};
 use genetic::{Eval, EvalAbort, Evaluator};
 use lzc::NcdBaseline;
 use minicc::ast::Module;
@@ -615,7 +616,7 @@ impl<'a> FitnessEngine<'a> {
     /// store purely so its freshly computed artifacts accumulate
     /// somewhere drainable, and this ships them back to the server's
     /// persistent log. Empty for engines without an artifact store.
-    pub fn drain_pending_artifacts(&self) -> crate::store::PendingArtifacts {
+    pub fn drain_pending_artifacts(&self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
         self.artifact_store
             .as_ref()
             .map_or_else(Default::default, |s| s.lock().unwrap().drain_pending())

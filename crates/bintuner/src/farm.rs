@@ -1,27 +1,31 @@
-//! The pre-forked worker-process farm (paper §5 "Implementation").
+//! The farm worker: the compile client of the evaluation service (paper
+//! §5 "Implementation"), one body for every deployment shape.
 //!
-//! [`crate::service::ServiceHandle`] can realize its clients as OS
-//! *processes* instead of threads ([`evald::WorkerMode::Processes`]):
-//! the launcher re-execs the current binary with a hidden
-//! `--evald-worker` entry point, and each worker process connects back
-//! over the configured stream transport (Unix socket or TCP loopback),
-//! sends its [`evald::wire::Frame::Hello`], receives the module under
-//! test as a [`evald::wire::Frame::Job`] (encoded with
-//! [`minicc::codec`]), builds its own [`FitnessEngine`], and serves
-//! shards exactly like a thread client would.
+//! [`crate::service::ServiceHandle`] starts its clients as threads or as
+//! OS *processes* ([`evald::WorkerMode`]), and both run the same worker
+//! body over a connected [`Duplex`]: send [`Frame::Hello`], wait for the
+//! module under test as a [`Frame::Job`] (encoded with
+//! [`minicc::codec`]), build a private [`FitnessEngine`] from it, and
+//! serve shards with [`evald::serve`] until the server shuts the
+//! connection down. A thread client gets its `Duplex` from the launcher;
+//! a worker process is the current binary re-execed with the hidden
+//! `--evald-worker` entry point ([`worker_main`]), which parses
+//! [`WorkerArgs`] and connects back to the farm's [`Endpoint`] first.
 //!
-//! This module holds both halves of that protocol: [`worker_main`] (the
-//! child side, invoked from the `bintuner` binary) and the crate-private
-//! `WorkerSpec` (the parent side: binary resolution and process
-//! spawning, used by the service launcher).
+//! The module also holds the crate-private spawning half used by the
+//! launcher — binary resolution and `WorkerSpec`, which renders a
+//! [`WorkerArgs`] into the worker command line — and the deterministic
+//! respawn policy ([`BackoffSchedule`], [`Supervisor`]).
 
-use crate::engine::EngineConfig;
-use crate::service::EngineWorker;
-use crate::store::FitnessStore;
+use crate::engine::{EngineConfig, EngineStats, EngineTelemetry, FAILED_COMPILE_PENALTY};
+use crate::store::{ArtifactStore, FitnessStore};
 use crate::FitnessEngine;
 use binrep::Arch;
-use evald::wire::{decode_frame, encode_frame, Frame};
-use evald::{tcp_connect, unix_connect, ClientOptions, EvaldError, FaultKind};
+use evald::wire::{decode_frame, encode_frame, Frame, ShardStats};
+use evald::{
+    tcp_connect, unix_connect, ClientOptions, Duplex, EvaldError, FaultKind, FaultPlan,
+    MergeRecord, ShardWorker, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
+};
 use minicc::{Compiler, CompilerKind, CompilerProfile};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -36,9 +40,24 @@ pub enum Endpoint {
     Unix(PathBuf),
 }
 
-/// Parsed `--evald-worker` command line.
+impl Endpoint {
+    /// Open a client connection to this endpoint.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the transport reports for the connect.
+    pub fn connect(&self) -> Result<Duplex, EvaldError> {
+        match self {
+            Endpoint::Tcp(addr) => tcp_connect(*addr),
+            Endpoint::Unix(path) => unix_connect(path),
+        }
+    }
+}
+
+/// Everything one farm worker needs besides its connection: the same
+/// for a thread client and a worker process.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerArgs {
+pub struct WorkerOptions {
     /// Client id to announce in the Hello handshake and result frames.
     pub client_id: u32,
     /// Which compiler profile to build.
@@ -47,8 +66,6 @@ pub struct WorkerArgs {
     pub arch: Arch,
     /// Whether the worker's engine keeps its staged artifact cache.
     pub artifact_cache: bool,
-    /// Server endpoint to connect back to.
-    pub endpoint: Endpoint,
     /// Whether the worker records trace spans (stage timings parented
     /// to the server's dispatch spans, shipped back on Result frames).
     pub trace: bool,
@@ -57,6 +74,29 @@ pub struct WorkerArgs {
     /// What the chaos hook does when it triggers (crash, hang, slow
     /// frames, dropped frame). Inert while `fail_after` is `None`.
     pub fault_kind: FaultKind,
+}
+
+impl WorkerOptions {
+    /// These options for client `client_id`, armed with `fault` when one
+    /// is planned for it.
+    pub(crate) fn for_client(&self, client_id: u32, fault: Option<FaultPlan>) -> WorkerOptions {
+        WorkerOptions {
+            client_id,
+            fail_after: fault.map(|f| f.after_shards),
+            fault_kind: fault.map_or_else(FaultKind::default, |f| f.kind),
+            ..self.clone()
+        }
+    }
+}
+
+/// Parsed `--evald-worker` command line: where to connect, and the
+/// worker's options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkerArgs {
+    /// Server endpoint to connect back to.
+    pub endpoint: Endpoint,
+    /// Everything else the worker needs.
+    pub options: WorkerOptions,
 }
 
 /// Parse a `--fault-kind` value: `crash`, `hang`, `drop`, `slow:<ms>`.
@@ -77,7 +117,7 @@ fn fault_kind_from_arg(arg: &str) -> Result<FaultKind, String> {
     }
 }
 
-/// Inverse of [`fault_kind_from_arg`], used when spawning workers.
+/// Inverse of [`fault_kind_from_arg`].
 fn fault_kind_to_arg(kind: FaultKind) -> String {
     match kind {
         FaultKind::Crash => "crash".to_string(),
@@ -124,7 +164,7 @@ impl WorkerArgs {
         let mut endpoint = None;
         let mut trace = false;
         let mut fail_after = None;
-        let mut fault_kind = FaultKind::Crash;
+        let mut fault_kind = FaultKind::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let mut value = || {
@@ -183,16 +223,51 @@ impl WorkerArgs {
                 other => return Err(format!("unknown worker argument {other}")),
             }
         }
-        Ok(WorkerArgs {
+        let options = WorkerOptions {
             client_id: client_id.ok_or("--client-id is required")?,
             kind: kind.ok_or("--compiler-tag is required")?,
             arch: arch.ok_or("--arch-tag is required")?,
             artifact_cache: artifact_cache.ok_or("--artifact-cache is required")?,
-            endpoint: endpoint.ok_or("--tcp or --unix is required")?,
             trace,
             fail_after,
             fault_kind,
+        };
+        Ok(WorkerArgs {
+            endpoint: endpoint.ok_or("--tcp or --unix is required")?,
+            options,
         })
+    }
+
+    /// Render the arguments that follow `--evald-worker` (the inverse of
+    /// [`WorkerArgs::parse`]: `parse(&a.to_args()) == Ok(a)`).
+    pub fn to_args(&self) -> Vec<String> {
+        let o = &self.options;
+        let mut args = vec![
+            "--client-id".to_string(),
+            o.client_id.to_string(),
+            "--compiler-tag".to_string(),
+            o.kind.stable_id().to_string(),
+            "--arch-tag".to_string(),
+            crate::store::arch_tag(o.arch).to_string(),
+            "--artifact-cache".to_string(),
+            u8::from(o.artifact_cache).to_string(),
+        ];
+        match &self.endpoint {
+            Endpoint::Tcp(addr) => args.extend(["--tcp".to_string(), addr.to_string()]),
+            Endpoint::Unix(path) => {
+                args.extend(["--unix".to_string(), path.to_string_lossy().into_owned()])
+            }
+        }
+        if o.trace {
+            args.push("--trace".to_string());
+        }
+        if let Some(k) = o.fail_after {
+            args.extend(["--fail-after".to_string(), k.to_string()]);
+        }
+        if o.fault_kind != FaultKind::default() {
+            args.extend(["--fault-kind".to_string(), fault_kind_to_arg(o.fault_kind)]);
+        }
+        args
     }
 }
 
@@ -300,8 +375,9 @@ impl Supervisor {
 }
 
 /// The `--evald-worker` entry point: parse `args` (everything after the
-/// `--evald-worker` sentinel), run the worker, and return the process
-/// exit code. The `bintuner` binary calls this from `main`.
+/// `--evald-worker` sentinel), connect to the farm, run the worker, and
+/// return the process exit code. The `bintuner` binary calls this from
+/// `main`.
 pub fn worker_main(args: &[String]) -> i32 {
     let parsed = match WorkerArgs::parse(args) {
         Ok(p) => p,
@@ -310,64 +386,60 @@ pub fn worker_main(args: &[String]) -> i32 {
             return 2;
         }
     };
-    match run_worker(&parsed) {
+    let served = parsed
+        .endpoint
+        .connect()
+        .and_then(|duplex| run_worker(duplex, &parsed.options));
+    match served {
         // A server that simply goes away is a normal end of service.
         Ok(()) | Err(EvaldError::Disconnected) => 0,
         Err(e) => {
-            eprintln!("evald worker {}: {e}", parsed.client_id);
+            eprintln!("evald worker {}: {e}", parsed.options.client_id);
             1
         }
     }
 }
 
-/// Connect, handshake, build the engine from the job description, and
-/// serve shards until shutdown.
-fn run_worker(args: &WorkerArgs) -> Result<(), EvaldError> {
-    let mut duplex = match &args.endpoint {
-        Endpoint::Tcp(addr) => tcp_connect(*addr)?,
-        Endpoint::Unix(path) => unix_connect(path)?,
+/// The farm worker body, shared by thread clients and worker processes:
+/// announce over `duplex`, wait for the job, build the engine from the
+/// module it carries, and serve shards until shutdown.
+///
+/// Before the [`Frame::Job`] arrives the worker answers `Ping` (a worker
+/// waiting for its job is alive, not hung) and `EndBatch` (with an empty
+/// merge); `Shutdown` is a clean exit.
+///
+/// # Errors
+///
+/// Transport and decode errors; [`EvaldError::Protocol`] for a `Work`
+/// frame before the job (the server re-queues the shard on a healthy
+/// client) or a module whose baseline does not compile;
+/// [`EvaldError::Corrupt`] for a job payload that is not an encoded
+/// module.
+pub(crate) fn run_worker(mut duplex: Duplex, opts: &WorkerOptions) -> Result<(), EvaldError> {
+    let client = ClientOptions {
+        client_id: opts.client_id,
+        n_flags: CompilerProfile::new(opts.kind).n_flags() as u16,
+        fail_after_shards: opts.fail_after,
+        fault_kind: opts.fault_kind,
     };
-    let n_flags = CompilerProfile::new(args.kind).n_flags() as u16;
-    let opts = ClientOptions {
-        client_id: args.client_id,
-        n_flags,
-        fail_after_shards: args.fail_after,
-        fault_kind: args.fault_kind,
-    };
-    duplex.tx.send_frame(&encode_frame(&Frame::Hello {
-        client: args.client_id,
-        n_flags,
-    }))?;
-    // The engine needs the module, which arrives as the job description.
-    // Nothing but a Job (or an early Shutdown / empty-batch EndBatch) is
-    // legal before the first Work frame.
+    let mut send = |frame: Frame| duplex.tx.send_frame(&encode_frame(&frame));
+    send(Frame::Hello {
+        client: client.client_id,
+        n_flags: client.n_flags,
+    })?;
     let payload = loop {
-        let bytes = duplex.rx.recv_frame()?;
-        let (frame, _) = decode_frame(&bytes)?;
+        let (frame, _) = decode_frame(&duplex.rx.recv_frame()?)?;
         match frame {
             Frame::Job { payload } => break payload,
             Frame::Shutdown => return Ok(()),
-            Frame::EndBatch { .. } => {
-                duplex.tx.send_frame(&encode_frame(&Frame::Merge {
-                    client: args.client_id,
-                    records: Vec::new(),
-                    ast_artifacts: Vec::new(),
-                    lower_artifacts: Vec::new(),
-                }))?;
-            }
-            Frame::Work { .. } => {
-                // Work before the job description: we cannot evaluate.
-                // Exiting severs the connection; the server re-queues the
-                // shard on a healthy client.
-                return Err(EvaldError::Protocol("Work frame before Job"));
-            }
-            Frame::Ping { nonce } => {
-                // Answer heartbeats even before the job arrives — a
-                // worker waiting on its Job is alive, not hung.
-                duplex
-                    .tx
-                    .send_frame(&encode_frame(&Frame::Pong { nonce }))?;
-            }
+            Frame::Ping { nonce } => send(Frame::Pong { nonce })?,
+            Frame::EndBatch { .. } => send(Frame::Merge {
+                client: client.client_id,
+                records: Vec::new(),
+                ast_artifacts: Vec::new(),
+                lower_artifacts: Vec::new(),
+            })?,
+            Frame::Work { .. } => return Err(EvaldError::Protocol("Work frame before Job")),
             Frame::Hello { .. }
             | Frame::Result { .. }
             | Frame::Merge { .. }
@@ -376,88 +448,161 @@ fn run_worker(args: &WorkerArgs) -> Result<(), EvaldError> {
     };
     let module = minicc::codec::decode_module(&payload)
         .map_err(|_| EvaldError::Corrupt("job payload is not an encoded module"))?;
-    let compiler = Compiler::new(args.kind);
+    let compiler = Compiler::new(opts.kind);
     let mut engine = FitnessEngine::with_store(
         &compiler,
         &module,
-        args.arch,
+        opts.arch,
         EngineConfig {
             workers: 1,
-            artifact_cache: args.artifact_cache,
+            artifact_cache: opts.artifact_cache,
             ..EngineConfig::default()
         },
         FitnessStore::in_memory(),
     )
     .map_err(|_| EvaldError::Protocol("worker engine failed its baseline compile"))?;
-    if args.artifact_cache {
-        // Producer-only seam, same as a thread client: never saved and
-        // never queried, it only captures fresh stage artifacts for the
-        // merge barrier (see `client_thread` in `crate::service`).
-        engine.set_artifact_store(crate::store::ArtifactStore::in_memory());
+    if opts.artifact_cache {
+        // An in-memory artifact store is a pure *producer* seam: it is
+        // never saved, so it never answers membership queries — the
+        // engine's compile classification (and thus the differential
+        // bit-identity guarantee) is untouched. Its only job is to
+        // capture freshly built stage artifacts for the merge barrier,
+        // where the server folds them into the persistent store.
+        engine.set_artifact_store(ArtifactStore::in_memory());
     }
-    if args.trace {
+    if opts.trace {
         // The worker keeps a private registry (only spans travel back;
         // the handles hold their metrics alive without it) and an id
         // base partitioning span ids per client so stitched traces
         // never collide with the server's — or each other's — ids.
         let registry = btel::Registry::new();
-        let tracer = btel::Tracer::with_id_base(4096, (u64::from(args.client_id) + 1) << 48);
-        engine.set_telemetry(crate::engine::EngineTelemetry::from_registry(
-            &registry, tracer,
-        ));
+        let tracer = btel::Tracer::with_id_base(4096, (u64::from(opts.client_id) + 1) << 48);
+        engine.set_telemetry(EngineTelemetry::from_registry(&registry, tracer));
     }
-    let mut worker = EngineWorker::new(&engine);
-    evald::serve(&mut worker, &mut duplex, &opts)
+    let mut worker = EngineWorker {
+        engine: &engine,
+        last: EngineStats::default(),
+    };
+    evald::serve(&mut worker, &mut duplex, &client)
 }
 
-/// Everything the parent needs to (re)spawn one worker process.
+/// [`ShardWorker`] over a worker-local [`FitnessEngine`].
+struct EngineWorker<'e, 'a> {
+    engine: &'e FitnessEngine<'a>,
+    /// Stats snapshot at the last shard (per-shard deltas go on the
+    /// wire).
+    last: EngineStats,
+}
+
+impl ShardWorker for EngineWorker<'_, '_> {
+    fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> (Vec<WireEval>, ShardStats) {
+        use genetic::Evaluator;
+        // Re-parent this shard's stage spans to the server's dispatch
+        // span (`0` = tracing off upstream; a disabled local tracer
+        // ignores the parent anyway).
+        if let Some(tel) = self.engine.telemetry() {
+            tel.set_trace_parent(span);
+        }
+        // A worker-local engine has no executor installed, and an
+        // executor-less engine is infallible by construction (the
+        // `Evaluator` contract: compile failures are scored, not
+        // errors) — so this expect can never fire.
+        let evals = self
+            .engine
+            .evaluate_batch(genomes)
+            .expect("executor-less worker engine cannot abort");
+        let now = self.engine.stats();
+        let stats = ShardStats {
+            compiles: (now.compiles - self.last.compiles) as u32,
+            cache_hits: (now.cache_hits + now.persistent_hits
+                - self.last.cache_hits
+                - self.last.persistent_hits) as u32,
+            full_compiles: (now.full_compiles - self.last.full_compiles) as u32,
+            ast_reuse: (now.ast_reuse - self.last.ast_reuse) as u32,
+            lower_reuse: (now.lower_reuse - self.last.lower_reuse) as u32,
+            wall_seconds: now.wall_seconds - self.last.wall_seconds,
+            span,
+        };
+        self.last = now;
+        let wire = evals
+            .into_iter()
+            .map(|e| WireEval {
+                fitness_bits: e.fitness.to_bits(),
+                // NCD is non-negative, so the penalty value is unambiguous.
+                failed: e.fitness.to_bits() == FAILED_COMPILE_PENALTY.to_bits(),
+                // The frame carries one wall figure per eval, so the
+                // worker's shared stage-1 production folds back in here:
+                // the server charges the farm's physical time, not the
+                // local attribution split.
+                wall_seconds_bits: (e.wall_seconds + e.ast_produce_seconds).to_bits(),
+            })
+            .collect();
+        (wire, stats)
+    }
+
+    fn drain_spans(&mut self) -> Vec<WireSpan> {
+        self.engine.telemetry().map_or_else(Vec::new, |tel| {
+            tel.tracer
+                .drain()
+                .into_iter()
+                .map(|s| WireSpan {
+                    id: s.id,
+                    parent: s.parent,
+                    name: s.name,
+                    start_us: s.start_us,
+                    dur_us: s.dur_us,
+                })
+                .collect()
+        })
+    }
+
+    fn drain_merge(&mut self) -> Vec<MergeRecord> {
+        self.engine
+            .drain_pending_store()
+            .into_iter()
+            .map(|(key, value)| MergeRecord {
+                module_hash: key.module_hash,
+                compiler: key.compiler,
+                arch: key.arch,
+                effect_digest: key.effect_digest,
+                fitness_bits: value.fitness.to_bits(),
+                failed: value.failed,
+                flags: value.flags.to_bools(),
+            })
+            .collect()
+    }
+
+    fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
+        self.engine.drain_pending_artifacts()
+    }
+}
+
+/// Everything the parent needs to (re)spawn one worker process: the
+/// binary to re-exec and the command line every worker shares.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerSpec {
     pub binary: PathBuf,
-    pub kind: CompilerKind,
-    pub arch: Arch,
-    pub artifact_cache: bool,
-    pub endpoint: Endpoint,
-    /// Spawn workers with `--trace` (the launch carried a
-    /// [`crate::service::FarmTelemetry`] with an enabled tracer).
-    pub trace: bool,
+    /// Rendered per worker with its own client id and fault plan
+    /// ([`WorkerOptions::for_client`]).
+    pub template: WorkerArgs,
 }
 
 impl WorkerSpec {
-    /// Spawn one worker process. Stdin is null; stderr is inherited so a
-    /// worker's own diagnostics surface in the parent's stream. `fault`
-    /// is the chaos hook: trigger the given [`FaultKind`] after that
-    /// many shards.
-    pub fn spawn(
-        &self,
-        client_id: u32,
-        fault: Option<(usize, FaultKind)>,
-    ) -> std::io::Result<Child> {
-        let mut cmd = Command::new(&self.binary);
-        cmd.arg("--evald-worker")
-            .arg("--client-id")
-            .arg(client_id.to_string())
-            .arg("--compiler-tag")
-            .arg(self.kind.stable_id().to_string())
-            .arg("--arch-tag")
-            .arg(crate::store::arch_tag(self.arch).to_string())
-            .arg("--artifact-cache")
-            .arg(if self.artifact_cache { "1" } else { "0" });
-        match &self.endpoint {
-            Endpoint::Tcp(addr) => cmd.arg("--tcp").arg(addr.to_string()),
-            Endpoint::Unix(path) => cmd.arg("--unix").arg(path),
+    /// Spawn worker `client_id`, armed with `fault` if one is planned
+    /// for it. Stdin is null; stderr is inherited so a worker's own
+    /// diagnostics surface in the parent's stream.
+    pub fn spawn(&self, client_id: u32, fault: Option<FaultPlan>) -> std::io::Result<Child> {
+        let args = WorkerArgs {
+            endpoint: self.template.endpoint.clone(),
+            options: self.template.options.for_client(client_id, fault),
         };
-        if self.trace {
-            cmd.arg("--trace");
-        }
-        if let Some((k, kind)) = fault {
-            cmd.arg("--fail-after").arg(k.to_string());
-            cmd.arg("--fault-kind").arg(fault_kind_to_arg(kind));
-        }
-        cmd.stdin(Stdio::null())
+        Command::new(&self.binary)
+            .arg("--evald-worker")
+            .args(args.to_args())
+            .stdin(Stdio::null())
             .stdout(Stdio::null())
-            .stderr(Stdio::inherit());
-        cmd.spawn()
+            .stderr(Stdio::inherit())
+            .spawn()
     }
 }
 
@@ -499,6 +644,7 @@ pub(crate) fn resolve_worker_binary(configured: Option<&PathBuf>) -> std::io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evald::channel_duplex;
 
     fn base_args() -> Vec<String> {
         [
@@ -518,36 +664,45 @@ mod tests {
         .collect()
     }
 
-    #[test]
-    fn worker_args_parse_round_trips_the_spawn_command() {
-        let args = WorkerArgs::parse(&base_args()).unwrap();
-        assert_eq!(
-            args,
-            WorkerArgs {
+    fn base_worker_args() -> WorkerArgs {
+        WorkerArgs {
+            endpoint: Endpoint::Tcp("127.0.0.1:4455".parse().unwrap()),
+            options: WorkerOptions {
                 client_id: 7,
                 kind: CompilerKind::Llvm,
                 arch: Arch::Arm,
                 artifact_cache: true,
-                endpoint: Endpoint::Tcp("127.0.0.1:4455".parse().unwrap()),
                 trace: false,
                 fail_after: None,
                 fault_kind: FaultKind::Crash,
-            }
-        );
-        let mut with_fault = base_args();
-        with_fault.extend(["--fail-after".to_string(), "3".to_string()]);
-        assert_eq!(WorkerArgs::parse(&with_fault).unwrap().fail_after, Some(3));
-        let mut with_trace = base_args();
-        with_trace.push("--trace".to_string());
-        assert!(WorkerArgs::parse(&with_trace).unwrap().trace);
-        let unix: Vec<String> = base_args()
-            .into_iter()
-            .map(|a| if a == "--tcp" { "--unix".into() } else { a })
-            .collect();
+            },
+        }
+    }
+
+    fn round_trip(args: &WorkerArgs) {
         assert_eq!(
-            WorkerArgs::parse(&unix).unwrap().endpoint,
-            Endpoint::Unix(PathBuf::from("127.0.0.1:4455"))
+            WorkerArgs::parse(&args.to_args()).as_ref(),
+            Ok(args),
+            "via {:?}",
+            args.to_args()
         );
+    }
+
+    #[test]
+    fn worker_args_parse_round_trips_the_spawn_command() {
+        let base = base_worker_args();
+        assert_eq!(WorkerArgs::parse(&base_args()), Ok(base.clone()));
+        round_trip(&base);
+        let mut x = base.clone();
+        x.options.trace = true;
+        x.options.fail_after = Some(3);
+        x.options.artifact_cache = false;
+        x.options.kind = CompilerKind::Gcc;
+        x.options.arch = Arch::X8664;
+        round_trip(&x);
+        x.endpoint = Endpoint::Unix(PathBuf::from("/tmp/evald_1_2.sock"));
+        x.options.client_id = u32::MAX;
+        round_trip(&x);
     }
 
     #[test]
@@ -594,29 +749,125 @@ mod tests {
 
     #[test]
     fn fault_kind_args_round_trip_the_spawn_command() {
-        // Every kind must survive the CLI hop parent → worker process.
+        // Every kind must survive the CLI hop parent → worker process,
+        // armed or not.
         for kind in [
             FaultKind::Crash,
             FaultKind::Hang,
             FaultKind::DropFrame,
             FaultKind::SlowFrame(75),
         ] {
-            let arg = fault_kind_to_arg(kind);
-            assert_eq!(fault_kind_from_arg(&arg), Ok(kind), "via {arg:?}");
-            let mut args = base_args();
-            args.extend([
-                "--fail-after".to_string(),
-                "2".to_string(),
-                "--fault-kind".to_string(),
-                arg,
-            ]);
-            let parsed = WorkerArgs::parse(&args).unwrap();
-            assert_eq!(parsed.fault_kind, kind);
-            assert_eq!(parsed.fail_after, Some(2));
+            let mut x = base_worker_args();
+            x.options.fault_kind = kind;
+            round_trip(&x);
+            let armed = WorkerArgs {
+                options: x.options.for_client(
+                    2,
+                    Some(FaultPlan {
+                        client: 2,
+                        after_shards: 2,
+                        kind,
+                    }),
+                ),
+                ..x
+            };
+            assert_eq!(armed.options.fail_after, Some(2));
+            assert_eq!(armed.options.fault_kind, kind);
+            round_trip(&armed);
         }
         assert!(fault_kind_from_arg("slow").is_err());
         assert!(fault_kind_from_arg("slow:abc").is_err());
         assert!(fault_kind_from_arg("wedge").is_err());
+    }
+
+    /// A worker running on a thread over an in-process channel, past its
+    /// Hello: the server end and the worker's eventual outcome.
+    fn worker_on_a_channel() -> (Duplex, std::thread::JoinHandle<Result<(), EvaldError>>) {
+        let (mut server, client) = channel_duplex();
+        let opts = base_worker_args().options;
+        let handle = std::thread::spawn(move || run_worker(client, &opts));
+        let (hello, _) = decode_frame(&server.rx.recv_frame().unwrap()).unwrap();
+        assert_eq!(
+            hello,
+            Frame::Hello {
+                client: 7,
+                n_flags: CompilerProfile::new(CompilerKind::Llvm).n_flags() as u16,
+            }
+        );
+        (server, handle)
+    }
+
+    fn send(server: &mut Duplex, frame: &Frame) {
+        server.tx.send_frame(&encode_frame(frame)).unwrap();
+    }
+
+    fn recv(server: &mut Duplex) -> Frame {
+        decode_frame(&server.rx.recv_frame().unwrap()).unwrap().0
+    }
+
+    #[test]
+    fn a_worker_waiting_for_its_job_answers_pings() {
+        let (mut server, worker) = worker_on_a_channel();
+        send(&mut server, &Frame::Ping { nonce: 41 });
+        assert_eq!(recv(&mut server), Frame::Pong { nonce: 41 });
+        send(&mut server, &Frame::Shutdown);
+        worker.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_worker_waiting_for_its_job_merges_nothing_at_batch_end() {
+        let (mut server, worker) = worker_on_a_channel();
+        send(&mut server, &Frame::EndBatch { batch: 0 });
+        assert_eq!(
+            recv(&mut server),
+            Frame::Merge {
+                client: 7,
+                records: vec![],
+                ast_artifacts: vec![],
+                lower_artifacts: vec![],
+            }
+        );
+        send(&mut server, &Frame::Shutdown);
+        worker.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn shutdown_before_the_job_is_a_clean_exit() {
+        let (mut server, worker) = worker_on_a_channel();
+        send(&mut server, &Frame::Shutdown);
+        assert!(worker.join().unwrap().is_ok());
+    }
+
+    #[test]
+    fn work_before_the_job_is_a_protocol_error() {
+        let (mut server, worker) = worker_on_a_channel();
+        send(
+            &mut server,
+            &Frame::Work {
+                shard: 0,
+                span: 0,
+                genomes: vec![vec![false; 4]],
+            },
+        );
+        assert!(matches!(
+            worker.join().unwrap(),
+            Err(EvaldError::Protocol(_))
+        ));
+    }
+
+    #[test]
+    fn a_job_that_is_not_an_encoded_module_is_corrupt() {
+        let (mut server, worker) = worker_on_a_channel();
+        send(
+            &mut server,
+            &Frame::Job {
+                payload: b"not a module".to_vec(),
+            },
+        );
+        assert!(matches!(
+            worker.join().unwrap(),
+            Err(EvaldError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -1,14 +1,21 @@
-//! The evaluation-service backend: `evald` wired beneath the tuner.
+//! The evaluation-service launcher: `evald` wired beneath the tuner —
+//! the parent side of the farm.
 //!
 //! This is the glue between the generic client–server machinery in the
 //! `evald` crate and BinTuner's fitness evaluation — the paper's actual
 //! deployment shape (§5 "Implementation": the GA on a server, compile +
 //! diff on a farm of clients), runnable entirely offline:
 //!
-//! * [`ServiceHandle::launch`] spawns N client threads. **Each client is
-//!   a full [`FitnessEngine`]** with its own [`Compiler`] instance, its
-//!   own `-O0` baseline, its own in-run caches, and an *in-memory*
-//!   [`FitnessStore`] that accumulates the shard results it computes.
+//! * [`ServiceHandle::launch`] binds the farm's transport once, starts N
+//!   workers — threads of this process or pre-forked worker processes
+//!   ([`WorkerMode`]) — and ships the module under test to every worker
+//!   as the server's job description. Threads and processes run the same
+//!   worker body ([`crate::farm`]): **each worker is a full
+//!   [`FitnessEngine`](crate::FitnessEngine)** built from that job,
+//!   with its own compiler, its own `-O0` baseline, its own in-run
+//!   caches, and an *in-memory* [`FitnessStore`](crate::FitnessStore)
+//!   that accumulates the shard results it computes. This module builds
+//!   no worker engine itself.
 //! * The server side is the tuner's own engine: partition, the three
 //!   cache tiers, the single writable store and the stats all stay where
 //!   they were, and only the deduplicated miss list travels — the handle
@@ -23,10 +30,10 @@
 //!   file lock covers the separate-processes case). Note that in *this*
 //!   integration the fold is belt-and-braces, not the consistency
 //!   mechanism: the server engine already records every dispatched miss
-//!   result itself, so each folded record hits
-//!   [`FitnessStore::insert`]'s identical-value dedup (that redundancy
-//!   is what keeps the store complete even when a client dies before
-//!   its merge). The merge path is load-bearing for embedders whose
+//!   result itself, so each folded record hits the identical-value
+//!   dedup of [`FitnessStore::insert`](crate::FitnessStore::insert)
+//!   (that redundancy is what keeps the store complete even when a
+//!   client dies before its merge). The merge path is load-bearing for embedders whose
 //!   clients evaluate work the server did not dispatch;
 //!   `merged_records` telemetry proves it ran.
 //!
@@ -35,25 +42,22 @@
 //! change *nothing* about the run's trajectory — `tests/service_vs_local.rs`
 //! pins bit-identity against the in-process engine.
 
-use crate::engine::{
-    EngineConfig, EngineStats, EngineTelemetry, MissExecutor, MissResult, FAILED_COMPILE_PENALTY,
-};
+use crate::engine::{MissExecutor, MissResult};
 use crate::farm::{
-    resolve_worker_binary, BackoffSchedule, Endpoint, Supervisor, SupervisorVerdict, WorkerSpec,
+    resolve_worker_binary, run_worker, BackoffSchedule, Endpoint, Supervisor, SupervisorVerdict,
+    WorkerArgs, WorkerOptions, WorkerSpec,
 };
-use crate::store::{ArtifactStore, FitnessStore};
-use crate::FitnessEngine;
 use binrep::Arch;
 use evald::transport::{tcp_accept, unix_accept};
-use evald::wire::ShardStats;
 use evald::{
-    channel_duplex, run_client, tcp_listener, unix_connect, unix_listener, BoundUnixListener,
-    ClientOptions, CostModel, Duplex, EvalServer, EvaldError, MergeRecord, ServerTelemetry,
-    ShardWorker, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
+    channel_duplex, tcp_listener, unix_listener, BoundUnixListener, ClientInjector, CostModel,
+    Duplex, EvalServer, EvaldError, MergeRecord, ServerTelemetry, WireAstArtifact,
+    WireLowerArtifact,
 };
 use genetic::EvalAbort;
 use minicc::ast::Module;
-use minicc::{Compiler, CompilerKind, CompilerProfile};
+use minicc::{CompilerKind, CompilerProfile};
+use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -154,7 +158,7 @@ pub struct ServiceSummary {
     pub redispatched_shards: usize,
     /// Evaluations discarded because another client answered first
     /// (bit-identical duplicates; also mirrored into
-    /// [`EngineStats::duplicate_results`]).
+    /// [`EngineStats::duplicate_results`](crate::EngineStats::duplicate_results)).
     pub duplicate_results: usize,
     /// Client-cache records merged back into the server-side store.
     pub merged_records: usize,
@@ -166,10 +170,10 @@ pub struct ServiceSummary {
     pub farm_compiles: u64,
     /// Farm compiles that ran the full pipeline (no stage artifact
     /// reused in the client's tier-0 cache). The farm-side counterpart
-    /// of [`EngineStats::full_compiles`] — the engine's counter is the
-    /// *logical* classification (identical to an in-process run), this
-    /// is the physical work the clients measured, straggler duplicates
-    /// included.
+    /// of [`EngineStats::full_compiles`](crate::EngineStats::full_compiles)
+    /// — the engine's counter is the *logical* classification (identical
+    /// to an in-process run), this is the physical work the clients
+    /// measured, straggler duplicates included.
     pub farm_full_compiles: u64,
     /// Farm compiles that reused a client-cached stage-1 artifact
     /// (optimized AST).
@@ -212,9 +216,10 @@ fn farm_socket_path() -> std::path::PathBuf {
     ))
 }
 
-/// A launched evaluation service: the dispatch server plus its client
-/// threads. Implements [`MissExecutor`], so the tuner installs it
-/// beneath its fitness engine with [`FitnessEngine::set_executor`].
+/// A launched evaluation service: the dispatch server plus its workers
+/// (threads or processes). Implements [`MissExecutor`], so the tuner
+/// installs it beneath its fitness engine with
+/// [`set_executor`](crate::FitnessEngine::set_executor).
 ///
 /// Tear it down with [`ServiceHandle::finish`]; a handle dropped on an
 /// error path (e.g. the engine's baseline compile failing after launch)
@@ -227,11 +232,11 @@ pub struct ServiceHandle {
     /// [`MissExecutor::execute`] returns `Err`; the tuner drains it via
     /// [`ServiceHandle::take_failure`] to build `TuneError::Service`).
     failure: Mutex<Option<Arc<EvaldError>>>,
-    /// Thread-mode clients.
+    /// Thread-mode workers.
     clients: Vec<JoinHandle<()>>,
     /// Process-mode workers (`None` slots are workers already reaped,
     /// e.g. by [`ServiceHandle::kill_worker`]).
-    children: Mutex<Vec<Option<std::process::Child>>>,
+    children: Mutex<Vec<Option<Child>>>,
     /// Everything needed to respawn a worker ([`ServiceHandle::spawn_worker`]).
     spec: Option<WorkerSpec>,
     /// Client ids continue past the initial farm (matches the server's
@@ -246,7 +251,6 @@ pub struct ServiceHandle {
     /// thread mode — threads are never respawned).
     supervision: Option<SupervisionCounters>,
     transport: TransportKind,
-    process_workers: bool,
     launched: usize,
 }
 
@@ -259,15 +263,55 @@ struct Acceptor {
     thread: JoinHandle<()>,
 }
 
-/// The farm's listening socket, either flavor, in nonblocking mode (the
-/// launch deadline loop and the acceptor's stop flag both need accept to
-/// return instead of parking).
+impl Acceptor {
+    /// Keep accepting on `listener` and inject every connection into the
+    /// running server, until stopped.
+    fn start(listener: FarmListener, injector: ClientInjector) -> Acceptor {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_flag = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            while !stop_flag.load(Ordering::Relaxed) {
+                match listener.accept() {
+                    Ok(duplex) => {
+                        injector.inject(duplex);
+                    }
+                    Err(_) => std::thread::sleep(Duration::from_millis(15)),
+                }
+            }
+            // `listener` drops here: socket closed, unix file unlinked.
+        });
+        Acceptor { stop, thread }
+    }
+}
+
+/// The farm's listening socket, either flavor. A process farm switches
+/// it to nonblocking mode (the launch deadline loop and the acceptor's
+/// stop flag both need accept to return instead of parking); a thread
+/// farm accepts connections it has just made, so blocking is fine.
 enum FarmListener {
     Unix(BoundUnixListener),
     Tcp(std::net::TcpListener),
 }
 
 impl FarmListener {
+    /// Bind a fresh listener for `transport`, with the endpoint workers
+    /// connect to; `None` for the in-process channel, which has no
+    /// socket.
+    fn bind(transport: TransportKind) -> Result<Option<(FarmListener, Endpoint)>, EvaldError> {
+        Ok(match transport {
+            TransportKind::Channel => None,
+            TransportKind::Unix => {
+                let l = unix_listener(&farm_socket_path())?;
+                let path = l.path().to_path_buf();
+                Some((FarmListener::Unix(l), Endpoint::Unix(path)))
+            }
+            TransportKind::Tcp => {
+                let (l, addr) = tcp_listener()?;
+                Some((FarmListener::Tcp(l), Endpoint::Tcp(addr)))
+            }
+        })
+    }
+
     fn set_nonblocking(&self) -> std::io::Result<()> {
         match self {
             FarmListener::Unix(l) => l.listener().set_nonblocking(true),
@@ -297,182 +341,6 @@ impl std::fmt::Debug for ServiceHandle {
     }
 }
 
-/// One client thread: build a compiler + engine of our own and serve
-/// shards until the server shuts us down. An engine that cannot even
-/// compile the baseline exits immediately — the server sees the
-/// disconnect and carries on with the remaining clients.
-fn client_thread(
-    kind: CompilerKind,
-    module: Module,
-    arch: Arch,
-    artifact_cache: bool,
-    trace: bool,
-    duplex: Duplex,
-    opts: ClientOptions,
-) {
-    let compiler = Compiler::new(kind);
-    let Ok(mut engine) = FitnessEngine::with_store(
-        &compiler,
-        &module,
-        arch,
-        EngineConfig {
-            workers: 1,
-            artifact_cache,
-            ..EngineConfig::default()
-        },
-        FitnessStore::in_memory(),
-    ) else {
-        return;
-    };
-    if artifact_cache {
-        // An in-memory artifact store is a pure *producer* seam: it is
-        // never saved, so it never answers membership queries — the
-        // engine's compile classification (and thus the differential
-        // bit-identity guarantee) is untouched. Its only job is to
-        // capture freshly built stage artifacts for the merge barrier,
-        // where the server folds them into the persistent store.
-        engine.set_artifact_store(ArtifactStore::in_memory());
-    }
-    if trace {
-        // Thread clients trace exactly like worker processes do: a
-        // private registry (only spans travel back over the wire) and a
-        // per-client span-id range for collision-free stitching.
-        let registry = btel::Registry::new();
-        let tracer = btel::Tracer::with_id_base(4096, (u64::from(opts.client_id) + 1) << 48);
-        engine.set_telemetry(EngineTelemetry::from_registry(&registry, tracer));
-    }
-    let mut worker = EngineWorker::new(&engine);
-    // A disconnect here is the server going away — normal end of service.
-    let _ = run_client(&mut worker, duplex, &opts);
-}
-
-/// [`ShardWorker`] over a client-local [`FitnessEngine`] — shared by
-/// thread clients (here) and worker processes ([`crate::farm`]).
-pub(crate) struct EngineWorker<'e, 'a> {
-    engine: &'e FitnessEngine<'a>,
-    /// Stats snapshot at the last shard (per-shard deltas go on the
-    /// wire).
-    last: EngineStats,
-}
-
-impl<'e, 'a> EngineWorker<'e, 'a> {
-    pub(crate) fn new(engine: &'e FitnessEngine<'a>) -> EngineWorker<'e, 'a> {
-        EngineWorker {
-            engine,
-            last: EngineStats::default(),
-        }
-    }
-}
-
-impl ShardWorker for EngineWorker<'_, '_> {
-    fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> (Vec<WireEval>, ShardStats) {
-        use genetic::Evaluator;
-        // Re-parent this shard's stage spans to the server's dispatch
-        // span (`0` = tracing off upstream; a disabled local tracer
-        // ignores the parent anyway).
-        if let Some(tel) = self.engine.telemetry() {
-            tel.set_trace_parent(span);
-        }
-        // A worker-local engine has no executor installed, and an
-        // executor-less engine is infallible by construction (the
-        // `Evaluator` contract: compile failures are scored, not
-        // errors) — so this expect can never fire.
-        let evals = self
-            .engine
-            .evaluate_batch(genomes)
-            .expect("executor-less worker engine cannot abort");
-        let now = self.engine.stats();
-        let stats = ShardStats {
-            compiles: (now.compiles - self.last.compiles) as u32,
-            cache_hits: (now.cache_hits + now.persistent_hits
-                - self.last.cache_hits
-                - self.last.persistent_hits) as u32,
-            full_compiles: (now.full_compiles - self.last.full_compiles) as u32,
-            ast_reuse: (now.ast_reuse - self.last.ast_reuse) as u32,
-            lower_reuse: (now.lower_reuse - self.last.lower_reuse) as u32,
-            wall_seconds: now.wall_seconds - self.last.wall_seconds,
-            span,
-        };
-        self.last = now;
-        let wire = evals
-            .into_iter()
-            .map(|e| WireEval {
-                fitness_bits: e.fitness.to_bits(),
-                // NCD is non-negative, so the penalty value is unambiguous.
-                failed: e.fitness.to_bits() == FAILED_COMPILE_PENALTY.to_bits(),
-                // The frame carries one wall figure per eval, so the
-                // worker's shared stage-1 production folds back in here:
-                // the server charges the farm's physical time, not the
-                // local attribution split.
-                wall_seconds_bits: (e.wall_seconds + e.ast_produce_seconds).to_bits(),
-            })
-            .collect();
-        (wire, stats)
-    }
-
-    fn drain_spans(&mut self) -> Vec<WireSpan> {
-        self.engine.telemetry().map_or_else(Vec::new, |tel| {
-            tel.tracer
-                .drain()
-                .into_iter()
-                .map(|s| WireSpan {
-                    id: s.id,
-                    parent: s.parent,
-                    name: s.name,
-                    start_us: s.start_us,
-                    dur_us: s.dur_us,
-                })
-                .collect()
-        })
-    }
-
-    fn drain_merge(&mut self) -> Vec<MergeRecord> {
-        self.engine
-            .drain_pending_store()
-            .into_iter()
-            .map(|(key, value)| MergeRecord {
-                module_hash: key.module_hash,
-                compiler: key.compiler,
-                arch: key.arch,
-                effect_digest: key.effect_digest,
-                fitness_bits: value.fitness.to_bits(),
-                failed: value.failed,
-                flags: value.flags.to_bools(),
-            })
-            .collect()
-    }
-
-    fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
-        let pending = self.engine.drain_pending_artifacts();
-        (
-            pending
-                .ast
-                .into_iter()
-                .map(|(k, cost, blob)| WireAstArtifact {
-                    body_hash: k.body_hash,
-                    compiler: k.compiler,
-                    ast_digest: k.ast_digest,
-                    cost_bits: cost.to_bits(),
-                    blob,
-                })
-                .collect(),
-            pending
-                .lower
-                .into_iter()
-                .map(|(k, cost, blob)| WireLowerArtifact {
-                    body_hash: k.body_hash,
-                    compiler: k.compiler,
-                    arch: k.arch,
-                    ast_digest: k.ast_digest,
-                    lower_digest: k.lower_digest,
-                    cost_bits: cost.to_bits(),
-                    blob,
-                })
-                .collect(),
-        )
-    }
-}
-
 /// Spawn one worker process, retrying through the deterministic backoff
 /// schedule: one bad fork (transient EAGAIN, racing resource limits)
 /// must not fail the whole launch. Gives up — returning the *last*
@@ -480,10 +348,10 @@ impl ShardWorker for EngineWorker<'_, '_> {
 fn spawn_with_retry(
     spec: &WorkerSpec,
     client_id: u32,
-    fault: Option<(usize, FaultKind)>,
+    fault: Option<FaultPlan>,
     attempts: u32,
     supervision: Option<&SupervisionCounters>,
-) -> std::io::Result<std::process::Child> {
+) -> std::io::Result<Child> {
     let mut supervisor = Supervisor::new(BackoffSchedule::default(), attempts.max(1));
     loop {
         match spec.spawn(client_id, fault) {
@@ -502,15 +370,60 @@ fn spawn_with_retry(
     }
 }
 
+/// Accept the connections of freshly spawned worker processes, up to
+/// `deadline_ms`. A worker that dies before connecting is never coming:
+/// once every child has exited, stragglers get a short grace for
+/// connections already in the backlog, and then the handshake decides
+/// with what arrived.
+fn accept_workers(
+    listener: &FarmListener,
+    n_clients: usize,
+    deadline_ms: u64,
+    children: &mut [Option<Child>],
+) -> Result<Vec<Duplex>, EvaldError> {
+    listener.set_nonblocking()?;
+    let mut server_side: Vec<Duplex> = Vec::with_capacity(n_clients);
+    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+    let mut all_dead_since: Option<Instant> = None;
+    while server_side.len() < n_clients {
+        match listener.accept() {
+            Ok(duplex) => server_side.push(duplex),
+            Err(e) if FarmListener::would_block(&e) => {
+                let mut alive = 0;
+                for child in children.iter_mut().flatten() {
+                    if matches!(child.try_wait(), Ok(None)) {
+                        alive += 1;
+                    }
+                }
+                if alive == 0 {
+                    let t = *all_dead_since.get_or_insert_with(Instant::now);
+                    if t.elapsed() > Duration::from_millis(250) {
+                        break;
+                    }
+                } else {
+                    all_dead_since = None;
+                }
+                if Instant::now() > deadline {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(server_side)
+}
+
 impl ServiceHandle {
     /// Launch the service for one tuning run: spawn the client farm,
-    /// connect it over the configured transport, and complete the
-    /// handshake.
+    /// connect it over the configured transport, complete the handshake
+    /// and ship every worker the module as its job.
     ///
     /// # Errors
     ///
-    /// Transport setup failures, or [`EvaldError::NoClients`] when no
-    /// client survives the handshake.
+    /// Transport setup failures, [`EvaldError::Protocol`] for process
+    /// workers over the in-process channel, or [`EvaldError::NoClients`]
+    /// when no client survives the handshake.
     pub fn launch(
         cfg: &ServiceConfig,
         kind: CompilerKind,
@@ -527,6 +440,11 @@ impl ServiceHandle {
     /// its compile stages back over the wire. `None` is the Off-mode
     /// purity contract: bit-identical to a pre-telemetry launch.
     ///
+    /// One path for both worker modes: bind the transport once, start
+    /// the workers (threads get a connected end each; processes connect
+    /// back to the listener), build the server, ship the job. Only a
+    /// process farm keeps its listener, for the reconnect acceptor.
+    ///
     /// # Errors
     ///
     /// See [`ServiceHandle::launch`].
@@ -540,265 +458,127 @@ impl ServiceHandle {
     ) -> Result<ServiceHandle, EvaldError> {
         let n_clients = cfg.clients.max(1);
         let n_flags = CompilerProfile::new(kind).n_flags() as u16;
-        let cost = CostModel::from_features(&module.features());
-        let trace = tel.as_ref().is_some_and(|t| t.tracer.is_enabled());
-        let fault_for = |i: usize| {
-            cfg.fault
-                .and_then(|f| (f.client == i).then_some((f.after_shards, f.kind)))
-        };
-
-        if let WorkerMode::Processes(farm) = &cfg.workers {
-            return ServiceHandle::launch_processes(
-                cfg,
-                farm,
-                kind,
-                module,
-                arch,
-                artifact_cache,
-                n_clients,
-                n_flags,
-                cost,
-                &fault_for,
-                tel,
-            );
-        }
-
-        let mut server_side: Vec<Duplex> = Vec::with_capacity(n_clients);
-        let mut handles = Vec::with_capacity(n_clients);
-        match cfg.transport {
-            TransportKind::Channel => {
-                for i in 0..n_clients {
-                    let (server_end, client_end) = channel_duplex();
-                    server_side.push(server_end);
-                    let module = module.clone();
-                    let fault = fault_for(i);
-                    let opts = ClientOptions {
-                        client_id: i as u32,
-                        n_flags,
-                        fail_after_shards: fault.map(|(after, _)| after),
-                        fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
-                    };
-                    handles.push(std::thread::spawn(move || {
-                        client_thread(kind, module, arch, artifact_cache, trace, client_end, opts);
-                    }));
-                }
-            }
-            TransportKind::Unix => {
-                // The listener drops (and unlinks its socket file) when
-                // this arm ends — every client has connected by then.
-                let listener = unix_listener(&farm_socket_path())?;
-                for i in 0..n_clients {
-                    let module = module.clone();
-                    let fault = fault_for(i);
-                    let opts = ClientOptions {
-                        client_id: i as u32,
-                        n_flags,
-                        fail_after_shards: fault.map(|(after, _)| after),
-                        fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
-                    };
-                    // Connect on *this* thread, then accept the pending
-                    // connection: both steps fail fast through `?`. A
-                    // client thread that connected for itself could die
-                    // before connecting and leave the matching accept
-                    // blocked forever. Connection order is irrelevant
-                    // (any client may serve any shard).
-                    let client_end = unix_connect(listener.path())?;
-                    server_side.push(unix_accept(&listener)?);
-                    handles.push(std::thread::spawn(move || {
-                        client_thread(kind, module, arch, artifact_cache, trace, client_end, opts);
-                    }));
-                }
-            }
-            TransportKind::Tcp => {
-                let (listener, addr) = tcp_listener()?;
-                for i in 0..n_clients {
-                    let module = module.clone();
-                    let fault = fault_for(i);
-                    let opts = ClientOptions {
-                        client_id: i as u32,
-                        n_flags,
-                        fail_after_shards: fault.map(|(after, _)| after),
-                        fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
-                    };
-                    // Same connect-then-accept discipline as Unix.
-                    let client_end = evald::tcp_connect(addr)?;
-                    server_side.push(tcp_accept(&listener)?);
-                    handles.push(std::thread::spawn(move || {
-                        client_thread(kind, module, arch, artifact_cache, trace, client_end, opts);
-                    }));
-                }
-            }
-        }
-
-        let mut server = EvalServer::new(server_side, cost, n_flags)?;
-        server.set_liveness(cfg.liveness);
-        if let Some(t) = &tel {
-            server.set_telemetry(t.server_telemetry());
-        }
-        Ok(ServiceHandle {
-            server: Mutex::new(Some(server)),
-            failure: Mutex::new(None),
-            clients: handles,
-            children: Mutex::new(Vec::new()),
-            spec: None,
-            next_worker_id: AtomicU32::new(n_clients as u32),
-            acceptor: None,
-            drain_grace_ms: 0,
-            workers_killed: AtomicUsize::new(0),
-            supervision: None,
-            transport: cfg.transport,
-            process_workers: false,
-            launched: n_clients,
-        })
-    }
-
-    /// Process-mode launch: bind the listener, pre-fork the worker
-    /// processes, accept their connections (with a deadline, so a worker
-    /// that dies before connecting cannot wedge the launch), handshake,
-    /// ship the job description, and start the reconnect acceptor.
-    #[allow(clippy::too_many_arguments)] // internal launch seam
-    fn launch_processes(
-        cfg: &ServiceConfig,
-        farm: &ProcessFarm,
-        kind: CompilerKind,
-        module: &Module,
-        arch: Arch,
-        artifact_cache: bool,
-        n_clients: usize,
-        n_flags: u16,
-        cost: CostModel,
-        fault_for: &dyn Fn(usize) -> Option<(usize, FaultKind)>,
-        tel: Option<FarmTelemetry>,
-    ) -> Result<ServiceHandle, EvaldError> {
-        let supervision = tel.as_ref().map(FarmTelemetry::supervision_counters);
-        let binary = resolve_worker_binary(farm.worker_binary.as_ref())?;
-        let (listener, endpoint) = match cfg.transport {
-            TransportKind::Channel => {
-                return Err(EvaldError::Protocol(
-                    "process workers require a stream transport (unix or tcp) \
-                     — there is no channel across an exec",
-                ))
-            }
-            TransportKind::Unix => {
-                let l = unix_listener(&farm_socket_path())?;
-                let path = l.path().to_path_buf();
-                (FarmListener::Unix(l), Endpoint::Unix(path))
-            }
-            TransportKind::Tcp => {
-                let (l, addr) = tcp_listener()?;
-                (FarmListener::Tcp(l), Endpoint::Tcp(addr))
-            }
-        };
-        listener.set_nonblocking()?;
-        let spec = WorkerSpec {
-            binary,
+        let fault_for = |i: usize| cfg.fault.filter(|f| f.client == i);
+        let options = WorkerOptions {
+            client_id: 0,
             kind,
             arch,
             artifact_cache,
-            endpoint,
             trace: tel.as_ref().is_some_and(|t| t.tracer.is_enabled()),
+            fail_after: None,
+            fault_kind: FaultKind::default(),
         };
-
-        let mut children: Vec<Option<std::process::Child>> = Vec::with_capacity(n_clients);
-        // Everything after the first spawn must reap the children on
-        // failure — a launch error must not leak worker processes.
-        let launch_result = (|| {
-            for i in 0..n_clients {
-                children.push(Some(spawn_with_retry(
-                    &spec,
-                    i as u32,
-                    fault_for(i),
-                    farm.spawn_attempts,
-                    supervision.as_ref(),
-                )?));
-            }
-            let mut server_side: Vec<Duplex> = Vec::with_capacity(n_clients);
-            // The accept deadline comes from the farm config (it used to
-            // be hard-coded at 30 s); `0` means "no patience at all".
-            let deadline = Instant::now() + Duration::from_millis(farm.accept_deadline_ms);
-            let mut all_dead_since: Option<Instant> = None;
-            while server_side.len() < n_clients {
-                match listener.accept() {
-                    Ok(duplex) => server_side.push(duplex),
-                    Err(e) if FarmListener::would_block(&e) => {
-                        // A worker that died before connecting is never
-                        // coming; give stragglers a short grace for
-                        // connections already in the backlog, then let
-                        // the handshake decide with what arrived.
-                        let mut alive = 0;
-                        for child in children.iter_mut().flatten() {
-                            if matches!(child.try_wait(), Ok(None)) {
-                                alive += 1;
+        let farm = match &cfg.workers {
+            WorkerMode::Threads => None,
+            WorkerMode::Processes(farm) => Some(farm),
+        };
+        let supervision = farm
+            .and(tel.as_ref())
+            .map(FarmTelemetry::supervision_counters);
+        let listener = FarmListener::bind(cfg.transport)?;
+        let mut clients = Vec::new();
+        let mut children: Vec<Option<Child>> = Vec::new();
+        let mut spec = None;
+        // Everything after the first process spawn must reap the
+        // children on failure — a launch error must not leak workers.
+        let launched = (|| {
+            let server_side = match (farm, &listener) {
+                (None, _) => {
+                    let mut server_side = Vec::with_capacity(n_clients);
+                    for i in 0..n_clients {
+                        // Connect on *this* thread, then accept: both
+                        // steps fail fast through `?`, and no accept can
+                        // wait on a thread that died before connecting.
+                        let (server_end, client_end) = match &listener {
+                            None => channel_duplex(),
+                            Some((listener, endpoint)) => {
+                                let client_end = endpoint.connect()?;
+                                (listener.accept()?, client_end)
                             }
-                        }
-                        if alive == 0 {
-                            let t = *all_dead_since.get_or_insert_with(Instant::now);
-                            if t.elapsed() > Duration::from_millis(250) {
-                                break;
-                            }
-                        } else {
-                            all_dead_since = None;
-                        }
-                        if Instant::now() > deadline {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
+                        };
+                        server_side.push(server_end);
+                        let opts = options.for_client(i as u32, fault_for(i));
+                        clients.push(std::thread::spawn(move || {
+                            // A disconnect is the server going away —
+                            // the normal end of service.
+                            let _ = run_worker(client_end, &opts);
+                        }));
                     }
-                    Err(e) => return Err(e),
+                    server_side
                 }
-            }
+                (Some(_), None) => {
+                    return Err(EvaldError::Protocol(
+                        "process workers require a stream transport (unix or tcp) \
+                         — there is no channel across an exec",
+                    ))
+                }
+                (Some(farm), Some((listener, endpoint))) => {
+                    let spec = spec.insert(WorkerSpec {
+                        binary: resolve_worker_binary(farm.worker_binary.as_ref())?,
+                        template: WorkerArgs {
+                            endpoint: endpoint.clone(),
+                            options: options.clone(),
+                        },
+                    });
+                    for i in 0..n_clients {
+                        children.push(Some(spawn_with_retry(
+                            spec,
+                            i as u32,
+                            fault_for(i),
+                            farm.spawn_attempts,
+                            supervision.as_ref(),
+                        )?));
+                    }
+                    accept_workers(listener, n_clients, farm.accept_deadline_ms, &mut children)?
+                }
+            };
+            let cost = CostModel::from_features(&module.features());
             let mut server = EvalServer::new(server_side, cost, n_flags)?;
             server.set_liveness(cfg.liveness);
             if let Some(t) = &tel {
                 server.set_telemetry(t.server_telemetry());
             }
-            // Workers build their engines from the job description; ship
-            // it before any Work frame can be dispatched.
+            // Every worker builds its engine from the job description;
+            // ship it before any Work frame can be dispatched.
             server.set_job(minicc::codec::encode_module(module));
             Ok(server)
         })();
-        let server = match launch_result {
+        let server = match launched {
             Ok(server) => server,
             Err(e) => {
                 for child in children.iter_mut().flatten() {
                     let _ = child.kill();
                     let _ = child.wait();
                 }
+                // Their connections died with the failed launch, so every
+                // worker thread has returned or is about to.
+                for h in clients {
+                    let _ = h.join();
+                }
                 return Err(e);
             }
         };
-
-        // The reconnect path: a worker that dies is absorbed on return
-        // (or replacement via spawn_worker) by injecting the accepted
-        // connection into the running server.
-        let injector = server.injector();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok(duplex) => {
-                        injector.inject(duplex);
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(15)),
-                }
-            }
-            // `listener` drops here: socket closed, unix file unlinked.
-        });
-
+        // The reconnect path: a worker process that dies is absorbed on
+        // return (or replacement via spawn_worker) by injecting the
+        // accepted connection into the running server. A thread farm's
+        // listener drops here instead (closing the socket and unlinking
+        // its file) — every thread is connected by now.
+        let acceptor = match (farm, listener) {
+            (Some(_), Some((listener, _))) => Some(Acceptor::start(listener, server.injector())),
+            _ => None,
+        };
         Ok(ServiceHandle {
             server: Mutex::new(Some(server)),
             failure: Mutex::new(None),
-            clients: Vec::new(),
+            clients,
             children: Mutex::new(children),
-            spec: Some(spec),
+            spec,
             next_worker_id: AtomicU32::new(n_clients as u32),
-            acceptor: Some(Acceptor { stop, thread }),
-            drain_grace_ms: farm.drain_grace_ms,
+            acceptor,
+            drain_grace_ms: farm.map_or(0, |f| f.drain_grace_ms),
             workers_killed: AtomicUsize::new(0),
             supervision,
             transport: cfg.transport,
-            process_workers: true,
             launched: n_clients,
         })
     }
@@ -863,7 +643,7 @@ impl ServiceHandle {
 
     /// Drain the client-produced stage artifacts accumulated on the
     /// merge barrier (the tuner folds them into its persistent
-    /// [`ArtifactStore`] before saving — the single-writer rule, same
+    /// [`ArtifactStore`](crate::ArtifactStore) before saving — the single-writer rule, same
     /// as the fitness-record fold). Call before
     /// [`ServiceHandle::finish`].
     pub fn take_artifacts(&self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
@@ -960,7 +740,7 @@ impl ServiceHandle {
         (
             ServiceSummary {
                 transport: self.transport,
-                process_workers: self.process_workers,
+                process_workers: self.spec.is_some(),
                 clients: self.launched,
                 clients_lost: stats.clients_lost,
                 shards: stats.shards,

@@ -25,6 +25,7 @@
 
 use super::{timed, LoadReport, SaveOutcome, StoreLock};
 use bytes::BufMut;
+use evald::{WireAstArtifact, WireLowerArtifact};
 use minicc::fnv1a32 as checksum;
 use std::collections::HashMap;
 use std::fs;
@@ -116,29 +117,6 @@ struct PendingArtifact<K> {
     key: K,
     cost: f64,
     blob: Vec<u8>,
-}
-
-/// Artifacts drained out of a store's pending queues
-/// ([`ArtifactStore::drain_pending`]): `(key, stage seconds, blob)`
-/// triples, ready to cross the evaluation service's merge barrier.
-#[derive(Debug, Clone, Default)]
-pub struct PendingArtifacts {
-    /// Pending optimized-AST artifacts.
-    pub ast: Vec<(AstArtifactKey, f64, Vec<u8>)>,
-    /// Pending lowered-binary artifacts.
-    pub lower: Vec<(LowerArtifactKey, f64, Vec<u8>)>,
-}
-
-impl PendingArtifacts {
-    /// Total drained artifact count.
-    pub fn len(&self) -> usize {
-        self.ast.len() + self.lower.len()
-    }
-
-    /// Whether nothing was pending.
-    pub fn is_empty(&self) -> bool {
-        self.ast.is_empty() && self.lower.is_empty()
-    }
 }
 
 /// Disk-backed map from stage-digest keys to compiled artifact bytes.
@@ -393,25 +371,54 @@ impl ArtifactStore {
         self.pending_lower.push(PendingArtifact { key, cost, blob });
     }
 
-    /// Drain the artifacts queued since the last save (or drain),
-    /// clearing the pending queues — the client side of the evaluation
-    /// service ships these back through the merge barrier so farm
-    /// workers' freshly computed stage artifacts reach the server's
-    /// persistent log. Each entry is `(key, measured stage seconds,
-    /// encoded blob)`.
-    pub fn drain_pending(&mut self) -> PendingArtifacts {
-        PendingArtifacts {
-            ast: self
-                .pending_ast
-                .drain(..)
-                .map(|p| (p.key, p.cost, p.blob))
-                .collect(),
-            lower: self
-                .pending_lower
-                .drain(..)
-                .map(|p| (p.key, p.cost, p.blob))
-                .collect(),
+    /// Queue farm-produced artifacts as they arrived over the merge
+    /// barrier ([`ArtifactStore::drain_pending`] on the worker side), with
+    /// the [`ArtifactStore::insert_ast`] contract: live or pending keys
+    /// are skipped, so folding the same artifact twice is a no-op.
+    pub fn insert_wire(&mut self, ast: Vec<WireAstArtifact>, lower: Vec<WireLowerArtifact>) {
+        for a in ast {
+            let key = AstArtifactKey {
+                body_hash: a.body_hash,
+                compiler: a.compiler,
+                ast_digest: a.ast_digest,
+            };
+            self.insert_ast(key, f64::from_bits(a.cost_bits), a.blob);
         }
+        for a in lower {
+            let key = LowerArtifactKey {
+                body_hash: a.body_hash,
+                compiler: a.compiler,
+                arch: a.arch,
+                ast_digest: a.ast_digest,
+                lower_digest: a.lower_digest,
+            };
+            self.insert_lower(key, f64::from_bits(a.cost_bits), a.blob);
+        }
+    }
+
+    /// Drain the artifacts queued since the last save (or drain),
+    /// clearing the pending queues, in the form the merge barrier ships
+    /// them (the inverse of [`ArtifactStore::insert_wire`]): farm
+    /// workers' freshly computed stage artifacts travel back this way to
+    /// the server's persistent log.
+    pub fn drain_pending(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
+        let ast = self.pending_ast.drain(..).map(|p| WireAstArtifact {
+            body_hash: p.key.body_hash,
+            compiler: p.key.compiler,
+            ast_digest: p.key.ast_digest,
+            cost_bits: p.cost.to_bits(),
+            blob: p.blob,
+        });
+        let lower = self.pending_lower.drain(..).map(|p| WireLowerArtifact {
+            body_hash: p.key.body_hash,
+            compiler: p.key.compiler,
+            arch: p.key.arch,
+            ast_digest: p.key.ast_digest,
+            lower_digest: p.key.lower_digest,
+            cost_bits: p.cost.to_bits(),
+            blob: p.blob,
+        });
+        (ast.collect(), lower.collect())
     }
 
     /// Flush pending artifacts under the log's [`StoreLock`].

@@ -74,9 +74,7 @@ mod index;
 mod lock;
 mod shard;
 
-pub use artifact::{
-    ArtifactRetention, ArtifactStore, AstArtifactKey, LowerArtifactKey, PendingArtifacts,
-};
+pub use artifact::{ArtifactRetention, ArtifactStore, AstArtifactKey, LowerArtifactKey};
 pub use lock::StoreLock;
 pub use shard::{shard_for, shard_for_module};
 

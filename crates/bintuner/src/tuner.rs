@@ -7,10 +7,7 @@ use crate::db::{Database, IterationRow};
 use crate::engine::{EngineConfig, EngineStats, FitnessEngine, FAILED_COMPILE_PENALTY};
 use crate::priors::{mine_prior, PriorConfig, PriorMode};
 use crate::service::{ServiceConfig, ServiceHandle, ServiceSummary};
-use crate::store::{
-    ArtifactStore, AstArtifactKey, FitnessStore, FlagBits, LowerArtifactKey, SaveOutcome, StoreKey,
-    StoredFitness,
-};
+use crate::store::{ArtifactStore, FitnessStore, FlagBits, SaveOutcome, StoreKey, StoredFitness};
 use binrep::{Arch, Binary};
 use genetic::{Ga, GaParams, GaRun, StopReason, Termination};
 use lzc::NcdBaseline;
@@ -611,30 +608,7 @@ impl Tuner {
                 // pending entries, so thread-mode runs — where the
                 // server engine may have produced the same artifacts —
                 // stay idempotent).
-                for a in ast {
-                    artifacts.insert_ast(
-                        AstArtifactKey {
-                            body_hash: a.body_hash,
-                            compiler: a.compiler,
-                            ast_digest: a.ast_digest,
-                        },
-                        f64::from_bits(a.cost_bits),
-                        a.blob,
-                    );
-                }
-                for a in lower {
-                    artifacts.insert_lower(
-                        LowerArtifactKey {
-                            body_hash: a.body_hash,
-                            compiler: a.compiler,
-                            arch: a.arch,
-                            ast_digest: a.ast_digest,
-                            lower_digest: a.lower_digest,
-                        },
-                        f64::from_bits(a.cost_bits),
-                        a.blob,
-                    );
-                }
+                artifacts.insert_wire(ast, lower);
             }
             let _ = artifacts.save();
         }

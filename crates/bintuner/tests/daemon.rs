@@ -192,12 +192,41 @@ fn concurrent_distinct_jobs_each_match_their_solo_runs() {
     daemon.shutdown();
 }
 
+#[test]
+fn farm_artifacts_persist_for_the_next_job_on_the_module() {
+    // The daemon's farm workers compile in their own engines, so their
+    // stage artifacts reach the shared store only through the daemon's
+    // own fold after each job. A second job on the same module with a
+    // different seed misses most fitness keys but reuses those persisted
+    // optimized ASTs — and still matches its solo run bit for bit.
+    let store = ScratchStore::new("daemon_artifacts");
+    let module = tiny_loop_module("daemon_artifacts_mod", 6);
+    let reference = solo(&module, 0x5EED_0002);
+
+    let daemon = Daemon::launch(daemon_config(TransportKind::Unix, &store)).unwrap();
+    let mut client = DaemonClient::connect(daemon.addr()).unwrap();
+    let first = submit_and_fetch(&mut client, "alice", &module, 0x5EED_0001).expect("first job");
+    assert!(first.compiles > 0, "the first job really compiled");
+    assert_eq!(first.store_ast_hits, 0, "nothing was persisted yet");
+
+    let second = submit_and_fetch(&mut client, "alice", &module, 0x5EED_0002).expect("second job");
+    assert_outcome_matches_solo(&second, &reference, "warm-artifact daemon job vs solo");
+    assert!(
+        second.store_ast_hits > 0,
+        "the second job reused no persisted AST: the farm's artifacts never reached the store"
+    );
+    daemon.shutdown();
+}
+
 /// The tentpole's prerequisite, end to end over the wire: every farm
 /// worker dies mid-batch; the job fails with the service error, the
 /// daemon keeps serving, the store stays sound, and the *next* job on
 /// the same daemon relaunches a fresh farm and succeeds bit-identically.
 fn farm_loss_fails_the_job_not_the_daemon(transport: TransportKind) {
-    let store = ScratchStore::new("daemon_farm_loss");
+    // One store per transport: the unix and tcp variants run in parallel
+    // in one process, and a shared store would let one variant's retry
+    // serve the other's first job from cache, so its fault never fires.
+    let store = ScratchStore::new(&format!("daemon_farm_loss_{transport:?}"));
     let module = tiny_loop_module("daemon_loss_mod", 6);
     let reference = solo(&module, 0x10E);
 

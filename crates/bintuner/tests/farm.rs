@@ -344,6 +344,43 @@ fn process_workers_refuse_the_channel_transport() {
     );
 }
 
+#[test]
+fn invalid_module_fails_as_baseline_on_a_process_farm() {
+    // The process-farm twin of service_vs_local's invalid-module test:
+    // workers say Hello, receive the module as their Job and die at
+    // engine construction; the tuner's own baseline compile then fails
+    // the run with the same typed error a thread farm gives.
+    use minicc::ast::{Expr, FuncDef, Module, Stmt};
+    let mut bad = Module::new("invalid");
+    // Two functions with the same name fail validation → every baseline
+    // compile (server's and each worker's) fails.
+    for value in [1, 2] {
+        bad.funcs.push(FuncDef::new(
+            "main",
+            vec![],
+            vec![Stmt::Return(Expr::Const(value))],
+        ));
+    }
+    for transport in [TransportKind::Unix, TransportKind::Tcp] {
+        let err = Tuner::new(process_config(
+            40,
+            ServiceConfig {
+                clients: 2,
+                transport,
+                workers: process_farm(),
+                fault: None,
+                liveness: Default::default(),
+            },
+        ))
+        .tune(&bad)
+        .unwrap_err();
+        assert!(
+            matches!(err, bintuner::TuneError::Baseline(_)),
+            "{transport:?}: {err}"
+        );
+    }
+}
+
 /// Child half of `warm_start_survives_sigkill_during_save`: tune with a
 /// persistent store in a tight loop until killed. Rotating module names
 /// keeps every save writing fresh records, so a SIGKILL at an arbitrary

@@ -253,9 +253,11 @@ fn service_and_local_build_equivalent_stores_and_warm_starts() {
 
 #[test]
 fn invalid_module_fails_promptly_and_tears_the_service_down() {
-    // The error path where the baseline cannot compile: the client farm
-    // dies at engine construction (no Hello), so launch reports
-    // NoClients as a chained TuneError::Service — promptly, and the
+    // The error path where the baseline cannot compile: every worker
+    // says Hello before it builds anything, so the launch succeeds, the
+    // workers die at engine construction, and the tuner's own baseline
+    // compile fails the run as TuneError::Baseline — the same typed
+    // error a process farm gives (tests/farm.rs). Promptly, too: the
     // dropped ServiceHandle severs every unix connection and joins
     // every client/reader thread (the test completing, repeatedly, is
     // the assertion; without the Drop teardown each iteration leaked
@@ -285,16 +287,7 @@ fn invalid_module_fails_promptly_and_tears_the_service_down() {
         ))
         .tune(&bad)
         .unwrap_err();
-        // Either shape is a prompt, clean failure: Service(NoClients)
-        // when the farm dies first (current behavior), Baseline if the
-        // server engine ever gets built first.
-        assert!(
-            matches!(
-                err,
-                bintuner::TuneError::Service(_) | bintuner::TuneError::Baseline(_)
-            ),
-            "{err}"
-        );
+        assert!(matches!(err, bintuner::TuneError::Baseline(_)), "{err}");
     }
 }
 

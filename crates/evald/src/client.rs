@@ -7,7 +7,9 @@
 //! until the server says `Shutdown`. At every `EndBatch` the worker's
 //! fresh local-cache records are flushed back as a `Merge` frame — the
 //! client never writes any store itself; the server is the single
-//! writer.
+//! writer. A worker built from the server's job description (BinTuner's
+//! farm worker, thread or process) sends its own Hello, waits for the
+//! `Job` frame, and then enters [`serve`].
 
 use crate::transport::Duplex;
 use crate::wire::{
@@ -50,15 +52,6 @@ pub trait ShardWorker {
     fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
         (Vec::new(), Vec::new())
     }
-
-    /// React to the server's job description ([`Frame::Job`]) — opaque
-    /// embedder bytes. Thread workers, which receive the job at spawn
-    /// time, ignore it (the default); worker *processes* usually consume
-    /// it before entering [`serve`] instead, so this hook only fires for
-    /// a job re-sent mid-connection.
-    fn on_job(&mut self, payload: &[u8]) {
-        let _ = payload;
-    }
 }
 
 /// Per-client launch options.
@@ -97,10 +90,11 @@ pub fn run_client(
 }
 
 /// The post-handshake serve loop: answer `Work` frames until the server
-/// says `Shutdown`. Split out of [`run_client`] for worker *processes*,
-/// which send their own [`Frame::Hello`] and consume the
-/// [`Frame::Job`] description (to build their engine) before entering
-/// the loop.
+/// says `Shutdown`. Split out of [`run_client`] for workers built from
+/// the job description, which send their own [`Frame::Hello`] and
+/// consume the [`Frame::Job`] before entering the loop. The server sends
+/// the job once per connection, right after the Hello, so a `Job` seen
+/// here was already handled (or is not needed) and is ignored.
 ///
 /// # Errors
 ///
@@ -164,16 +158,17 @@ pub fn serve(
                     lower_artifacts,
                 }))?;
             }
-            Frame::Job { payload } => worker.on_job(&payload),
             Frame::Ping { nonce } => {
                 duplex
                     .tx
                     .send_frame(&encode_frame(&Frame::Pong { nonce }))?;
             }
             Frame::Shutdown => return Ok(()),
-            // Server-bound frames are never addressed to a client;
+            // A Job was consumed before this loop (or is not needed),
+            // and server-bound frames are never addressed to a client;
             // ignore rather than die (forward compatibility).
-            Frame::Hello { .. }
+            Frame::Job { .. }
+            | Frame::Hello { .. }
             | Frame::Result { .. }
             | Frame::Merge { .. }
             | Frame::Pong { .. } => {}

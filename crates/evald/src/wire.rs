@@ -276,9 +276,8 @@ pub enum Frame {
     /// Server → client, once after a successful handshake: the
     /// embedder's job description — opaque bytes this crate never
     /// interprets (the BinTuner embedder ships the canonically encoded
-    /// module to tune). Pre-forked worker *processes* need it to build
-    /// their local evaluation engine; thread clients, which receive the
-    /// job at spawn time, never see this frame.
+    /// module to tune). Every BinTuner farm worker, thread or process,
+    /// builds its local evaluation engine from it.
     Job {
         /// The embedder-defined job description.
         payload: Vec<u8>,
