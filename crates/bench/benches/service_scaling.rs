@@ -92,7 +92,7 @@ fn main() {
             assert_eq!(result.best_ncd.to_bits(), local.best_ncd.to_bits());
             let summary = result.service.expect("service telemetry");
             assert!(
-                summary.farm_compiles >= result.engine_stats.compiles as u64,
+                summary.client_compiles >= result.engine_stats.compiles as u64,
                 "farm compiles must cover the logical compiles"
             );
             rows.push(vec![

@@ -85,7 +85,7 @@ fn main() {
     let (off_wall, off) = best_of(runs, &off_cfg, &bench_case.module);
     let (repeat_wall, repeat) = best_of(1, &off_cfg, &bench_case.module);
     assert_identical(&off, &repeat, "off vs off repeat");
-    assert!(off.registry.is_none(), "Off mode must allocate no registry");
+    assert!(off.registry.is_none(), "Off mode must export no registry");
     assert!(off.spans.is_empty(), "Off mode must record no spans");
 
     let (on_wall, on) = best_of(runs, &config(btel::TelemetryMode::On), &bench_case.module);

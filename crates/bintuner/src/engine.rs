@@ -169,7 +169,8 @@ impl EngineConfig {
     }
 }
 
-/// Cumulative engine telemetry (drives the engine-scaling and
+/// Cumulative engine counts: a typed read of the engine's counter
+/// handles ([`FitnessEngine::stats`]; drives the engine-scaling and
 /// staged-compile benches and the cache-hit columns of the iteration
 /// database).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -185,9 +186,9 @@ pub struct EngineStats {
     /// `cache_hits`, so this is exactly the number of compiles
     /// warm-starting saved.
     pub persistent_hits: usize,
-    /// Real compiles this engine performed (misses of every cache tier).
-    /// Always `full_compiles + ast_reuse + lower_reuse`. Logical: on a
-    /// service backend these compiles physically ran on the client farm.
+    /// Real compiles this engine performed (misses of every cache tier):
+    /// `full_compiles + ast_reuse + lower_reuse`. Logical: on a service
+    /// backend these compiles physically ran on the client farm.
     pub compiles: usize,
     /// Misses that ran the entire pipeline — no stage artifact could be
     /// reused. This is the number the tier-0 cache exists to shrink: a
@@ -216,16 +217,6 @@ pub struct EngineStats {
     /// persistent store, so a warm run reports the same count as the
     /// cold run it replays.
     pub failed_compiles: usize,
-    /// Results discarded by the evaluation service's straggler
-    /// re-dispatch (a shard answered by more than one client; first
-    /// result wins and duplicates are bit-identical). Always 0 for the
-    /// in-process pool; filled in from the service telemetry by the
-    /// tuner when `TunerConfig::backend` is a service.
-    pub duplicate_results: usize,
-    /// Measured wall-clock seconds spent inside `evaluate_batch` — the
-    /// quantity parallelism reduces (per-item CPU time is on each
-    /// [`genetic::EvalRecord::wall_seconds`]).
-    pub wall_seconds: f64,
 }
 
 impl EngineStats {
@@ -249,35 +240,24 @@ impl EngineStats {
     }
 }
 
-/// Telemetry handles for one [`FitnessEngine`], resolved once from a
-/// [`btel::Registry`] and installed with
-/// [`FitnessEngine::set_telemetry`]. Without one installed the engine
-/// honors the Off-mode purity contract: no extra clock readings, no
-/// telemetry state touched — the hot paths are bit-identical to a
-/// telemetry-free build.
-pub struct EngineTelemetry {
-    /// Span recorder. Stage spans (`ast`/`lower`/`mir`) parent to the
-    /// id set with [`EngineTelemetry::set_trace_parent`] when one is
-    /// set (a farm worker sets it to the server's dispatch-span id
-    /// carried on the wire), else to the enclosing `batch` span.
-    pub tracer: btel::Tracer,
-    trace_parent: AtomicU64,
+/// The engine's counter handles: the only store of its counts. They
+/// are always live — one relaxed atomic add per event, no clock read —
+/// and [`FitnessEngine::stats`] is a typed read over them.
+struct EngineCounters {
     evaluations: Arc<btel::Counter>,
     hits_memo: Arc<btel::Counter>,
     hits_persistent: Arc<btel::Counter>,
-    compiles_full: Arc<btel::Counter>,
-    compiles_ast_reuse: Arc<btel::Counter>,
-    compiles_lower_reuse: Arc<btel::Counter>,
-    /// `bintuner_engine_stage_seconds`, indexed by [`Stage`].
-    stages: [Arc<btel::Histogram>; 4],
-    miss_seconds: Arc<btel::Histogram>,
-    batch_seconds: Arc<btel::Histogram>,
+    /// `bintuner_engine_compiles_total`, indexed by [`StageReuse`].
+    compiles: [Arc<btel::Counter>; 3],
+    store_ast_hits: Arc<btel::Counter>,
+    store_lower_hits: Arc<btel::Counter>,
+    failed_compiles: Arc<btel::Counter>,
 }
 
-impl EngineTelemetry {
-    /// Resolve the engine's metric families from `registry` (handles
-    /// are cached here; the registry lock never sits on a hot path).
-    pub fn from_registry(registry: &btel::Registry, tracer: btel::Tracer) -> EngineTelemetry {
+impl EngineCounters {
+    /// Resolve the engine's counter families from `registry` — the one
+    /// place the `bintuner_engine_*` counters are named.
+    fn from_registry(registry: &btel::Registry) -> EngineCounters {
         let hits = |tier| {
             registry.counter_with(
                 "bintuner_engine_cache_hits_total",
@@ -294,6 +274,74 @@ impl EngineTelemetry {
                 reuse,
             )
         };
+        let store_hits = |stage| {
+            registry.counter_with(
+                "bintuner_engine_store_artifact_hits_total",
+                "stage-reuse compiles served by the persistent artifact store",
+                "stage",
+                stage,
+            )
+        };
+        EngineCounters {
+            evaluations: registry.counter(
+                "bintuner_engine_evaluations_total",
+                "genome evaluations requested (cache hits included)",
+            ),
+            hits_memo: hits("memo"),
+            hits_persistent: hits("persistent"),
+            compiles: StageReuse::NAMES.map(compiles),
+            store_ast_hits: store_hits("ast"),
+            store_lower_hits: store_hits("lower"),
+            failed_compiles: registry.counter(
+                "bintuner_engine_failed_compiles_total",
+                "distinct configurations scored the failed-compile penalty",
+            ),
+        }
+    }
+
+    fn read(&self) -> EngineStats {
+        let n = |c: &Arc<btel::Counter>| c.get() as usize;
+        let [full_compiles, ast_reuse, lower_reuse] = self.compiles.each_ref().map(n);
+        EngineStats {
+            evaluations: n(&self.evaluations),
+            cache_hits: n(&self.hits_memo),
+            persistent_hits: n(&self.hits_persistent),
+            compiles: full_compiles + ast_reuse + lower_reuse,
+            full_compiles,
+            ast_reuse,
+            lower_reuse,
+            store_ast_hits: n(&self.store_ast_hits),
+            store_lower_hits: n(&self.store_lower_hits),
+            failed_compiles: n(&self.failed_compiles),
+        }
+    }
+}
+
+/// Telemetry handles for one [`FitnessEngine`], resolved once from a
+/// [`btel::Registry`] and installed with
+/// [`FitnessEngine::set_telemetry`]. Without one installed the engine
+/// honors the Off-mode purity contract: no telemetry clock readings and
+/// no spans (its counters still count, in a private registry).
+pub struct EngineTelemetry {
+    /// Span recorder. Stage spans (`ast`/`lower`/`mir`) parent to the
+    /// id set with [`EngineTelemetry::set_trace_parent`] when one is
+    /// set (a farm worker sets it to the server's dispatch-span id
+    /// carried on the wire), else to the enclosing `batch` span.
+    pub tracer: btel::Tracer,
+    trace_parent: AtomicU64,
+    /// `bintuner_engine_stage_seconds`, indexed by [`Stage`].
+    stages: [Arc<btel::Histogram>; 4],
+    miss_seconds: Arc<btel::Histogram>,
+    batch_seconds: Arc<btel::Histogram>,
+    /// Taken by [`FitnessEngine::set_telemetry`] as the engine's
+    /// counter store.
+    counters: Option<EngineCounters>,
+}
+
+impl EngineTelemetry {
+    /// Resolve the engine's metric families from `registry` (handles
+    /// are cached here; the registry lock never sits on a hot path).
+    pub fn from_registry(registry: &btel::Registry, tracer: btel::Tracer) -> EngineTelemetry {
         let stage = |stage| {
             registry.histogram_with(
                 "bintuner_engine_stage_seconds",
@@ -305,15 +353,6 @@ impl EngineTelemetry {
         EngineTelemetry {
             tracer,
             trace_parent: AtomicU64::new(0),
-            evaluations: registry.counter(
-                "bintuner_engine_evaluations_total",
-                "genome evaluations requested (cache hits included)",
-            ),
-            hits_memo: hits("memo"),
-            hits_persistent: hits("persistent"),
-            compiles_full: compiles("full"),
-            compiles_ast_reuse: compiles("ast"),
-            compiles_lower_reuse: compiles("lower"),
             stages: Stage::NAMES.map(stage),
             miss_seconds: registry.histogram(
                 "bintuner_engine_miss_seconds",
@@ -323,6 +362,7 @@ impl EngineTelemetry {
                 "bintuner_engine_batch_seconds",
                 "wall clock of one evaluate_batch call",
             ),
+            counters: Some(EngineCounters::from_registry(registry)),
         }
     }
 
@@ -355,6 +395,11 @@ enum StageReuse {
     Ast,
     /// Lowered binary reused: only the machine-level stage ran.
     Lower,
+}
+
+impl StageReuse {
+    /// `reuse` label values, indexed by the variant.
+    const NAMES: [&'static str; 3] = ["full", "ast", "lower"];
 }
 
 /// The execution plan for one miss: its stage digests, the reuse
@@ -436,10 +481,10 @@ struct CacheState {
 /// shared `-O0` baseline with NCD, in parallel, with memoization.
 ///
 /// Construction compiles the baseline once ([`FitnessEngine::new`]); the
-/// engine is then shared immutably across the GA run — all interior
-/// state (cache, stats) is behind mutexes, and the hot compile/score path
-/// runs lock-free on worker threads apart from brief artifact-cache
-/// lookups.
+/// engine is then shared immutably across the GA run — the caches are
+/// behind mutexes, the counts are atomic counters, and the hot
+/// compile/score path runs lock-free on worker threads apart from brief
+/// artifact-cache lookups.
 pub struct FitnessEngine<'a> {
     compiler: &'a Compiler,
     module: &'a Module,
@@ -459,7 +504,9 @@ pub struct FitnessEngine<'a> {
     /// partition phase never touches values, workers never touch the
     /// model).
     artifact_values: Mutex<ArtifactValues>,
-    stats: Mutex<EngineStats>,
+    /// A private registry's handles until
+    /// [`FitnessEngine::set_telemetry`] installs the exported registry's.
+    counters: EngineCounters,
     /// Third fitness cache tier: the cross-run store. Consulted during
     /// batch partition (under the partition's store lock, not
     /// per-worker) and fed every fresh result; recovered with
@@ -474,9 +521,9 @@ pub struct FitnessEngine<'a> {
     /// When set, the deduplicated miss list is dispatched here (the
     /// evaluation service) instead of the local worker pool.
     executor: Option<&'a dyn MissExecutor>,
-    /// Telemetry handles ([`FitnessEngine::set_telemetry`]); `None` is
-    /// the Off-mode purity contract — no clock readings beyond the
-    /// pre-instrumentation ones, no telemetry state touched.
+    /// Timing handles ([`FitnessEngine::set_telemetry`]); `None` is the
+    /// Off-mode purity contract — no clock readings beyond the
+    /// pre-instrumentation ones, no spans.
     tel: Option<EngineTelemetry>,
 }
 
@@ -559,7 +606,7 @@ impl<'a> FitnessEngine<'a> {
             baseline,
             cache: Mutex::new(CacheState::default()),
             artifact_values: Mutex::new(ArtifactValues::default()),
-            stats: Mutex::new(EngineStats::default()),
+            counters: EngineCounters::from_registry(&btel::Registry::new()),
             store: store.map(Mutex::new),
             artifact_store: None,
             executor: None,
@@ -575,11 +622,15 @@ impl<'a> FitnessEngine<'a> {
         self.executor = Some(executor);
     }
 
-    /// Install telemetry handles: per-tier cache counters, per-stage
-    /// wall histograms and trace spans from here on. Fitness results
-    /// and every cache/store decision are unaffected — telemetry only
-    /// observes.
-    pub fn set_telemetry(&mut self, tel: EngineTelemetry) {
+    /// Install telemetry handles: per-stage wall histograms and trace
+    /// spans from here on, and the engine's counters re-resolved from
+    /// `tel`'s registry. Install before the first batch — counts made
+    /// earlier stay in the private registry. Fitness results and every
+    /// cache/store decision are unaffected — telemetry only observes.
+    pub fn set_telemetry(&mut self, mut tel: EngineTelemetry) {
+        if let Some(counters) = tel.counters.take() {
+            self.counters = counters;
+        }
         self.tel = Some(tel);
     }
 
@@ -676,21 +727,15 @@ impl<'a> FitnessEngine<'a> {
         &self.baseline_bin
     }
 
-    /// A snapshot of the engine's telemetry.
+    /// A typed read of the engine's counters.
     pub fn stats(&self) -> EngineStats {
-        *self.stats.lock().unwrap()
+        self.counters.read()
     }
 
     /// Number of distinct flag vectors memoized so far (the exact-vector
     /// front level).
     pub fn cache_len(&self) -> usize {
         self.cache.lock().unwrap().by_flags.len()
-    }
-
-    /// Number of distinct effect configurations compiled so far — the
-    /// number of *actual* compiles a cold run would have needed.
-    pub fn effect_cache_len(&self) -> usize {
-        self.cache.lock().unwrap().by_effect.len()
     }
 
     /// Number of optimized-AST artifacts currently cached (tier 0,
@@ -923,7 +968,7 @@ enum Source {
 
 impl Evaluator for FitnessEngine<'_> {
     fn evaluate_batch(&self, genomes: &[Vec<bool>]) -> Result<Vec<Eval>, EvalAbort> {
-        let batch_start = Instant::now();
+        let batch_start = self.tel.as_ref().map(|_| Instant::now());
         let profile = self.compiler.profile();
         // Per-batch span context: the batch span's id is allocated up
         // front so stage spans can hang off it; it is recorded (closed)
@@ -970,7 +1015,6 @@ impl Evaluator for FitnessEngine<'_> {
         let mut digests: Vec<(u128, u128)> = Vec::new();
         let mut plans: Vec<MissPlan> = Vec::new();
         let mut miss_by_eff: HashMap<&EffectConfig, usize> = HashMap::new();
-        let mut fresh_failures = 0usize;
         let sources: Vec<Source> = {
             let mut cache = self.cache.lock().unwrap();
             let sources: Vec<Source> = genomes
@@ -991,7 +1035,6 @@ impl Evaluator for FitnessEngine<'_> {
                             failed: true,
                         };
                         cache.by_flags.insert(g.clone(), entry);
-                        fresh_failures += 1;
                         return Source::Ready {
                             entry,
                             hit: Hit::Fresh,
@@ -1374,21 +1417,20 @@ impl Evaluator for FitnessEngine<'_> {
         // wall time; within-batch duplicates pay the compile wall time
         // once, on first occurrence — which also carries the miss's
         // stage-reuse classification.
+        let c = &self.counters;
         let mut first_use = vec![true; misses.len()];
-        let mut hits = 0usize;
-        let mut persistent = 0usize;
-        let mut cold_failures = 0usize;
         let results: Vec<Eval> = genomes
             .iter()
             .zip(sources)
             .map(|(g, src)| {
                 let (entry, wall, ast_produce, hit, reuse) = match src {
                     Source::Ready { entry, hit } => {
-                        if hit == Hit::Persistent {
-                            // A failure first served from the store is the
-                            // warm analog of a fresh failed compile: count
-                            // it once so cold and warm telemetry agree.
-                            cold_failures += entry.failed as usize;
+                        if hit != Hit::InRun {
+                            // A fresh constraint penalty, or a failure
+                            // first served from the store — the warm
+                            // analog of a fresh failed compile: count it
+                            // once so cold and warm telemetry agree.
+                            c.failed_compiles.add(entry.failed as u64);
                         }
                         (entry, 0.0, 0.0, hit, None)
                     }
@@ -1396,7 +1438,7 @@ impl Evaluator for FitnessEngine<'_> {
                         let (entry, wall) = computed[slot].expect("miss computed");
                         if first_use[slot] {
                             first_use[slot] = false;
-                            cold_failures += entry.failed as usize;
+                            c.failed_compiles.add(entry.failed as u64);
                             // The representative also reports any shared
                             // stage-1 production it performed for its
                             // effect family — separately, so its own
@@ -1413,8 +1455,8 @@ impl Evaluator for FitnessEngine<'_> {
                         }
                     }
                 };
-                hits += (hit == Hit::InRun) as usize;
-                persistent += (hit == Hit::Persistent) as usize;
+                c.hits_memo.add((hit == Hit::InRun) as u64);
+                c.hits_persistent.add((hit == Hit::Persistent) as u64);
                 Eval {
                     fitness: entry.fitness,
                     cost_seconds: self.compiler.simulated_compile_seconds(self.module, g),
@@ -1428,36 +1470,15 @@ impl Evaluator for FitnessEngine<'_> {
             })
             .collect();
 
-        let mut stats = self.stats.lock().unwrap();
-        stats.evaluations += genomes.len();
-        stats.cache_hits += hits;
-        stats.persistent_hits += persistent;
-        stats.compiles += misses.len();
+        c.evaluations.add(genomes.len() as u64);
         for plan in &plans {
-            match plan.reuse {
-                StageReuse::Full => stats.full_compiles += 1,
-                StageReuse::Ast => stats.ast_reuse += 1,
-                StageReuse::Lower => stats.lower_reuse += 1,
-            }
-            stats.store_ast_hits += plan.store_ast as usize;
-            stats.store_lower_hits += plan.store_lower as usize;
+            c.compiles[plan.reuse as usize].inc();
+            c.store_ast_hits.add(plan.store_ast as u64);
+            c.store_lower_hits.add(plan.store_lower as u64);
         }
-        stats.failed_compiles += fresh_failures + cold_failures;
-        let batch_wall = batch_start.elapsed().as_secs_f64();
-        stats.wall_seconds += batch_wall;
-        drop(stats);
-        if let Some(tel) = &self.tel {
-            tel.evaluations.add(genomes.len() as u64);
-            tel.hits_memo.add(hits as u64);
-            tel.hits_persistent.add(persistent as u64);
-            for plan in &plans {
-                match plan.reuse {
-                    StageReuse::Full => tel.compiles_full.inc(),
-                    StageReuse::Ast => tel.compiles_ast_reuse.inc(),
-                    StageReuse::Lower => tel.compiles_lower_reuse.inc(),
-                }
-            }
-            tel.batch_seconds.observe_seconds(batch_wall);
+        if let (Some(tel), Some(batch_start)) = (&self.tel, batch_start) {
+            tel.batch_seconds
+                .observe_seconds(batch_start.elapsed().as_secs_f64());
             if batch_span != 0 {
                 tel.tracer
                     .record_with_id(batch_span, "batch", trace_parent, batch_start);

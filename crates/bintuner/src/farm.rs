@@ -506,11 +506,14 @@ impl ShardWorker for EngineWorker<'_, '_> {
         // A worker-local engine has no executor installed, and an
         // executor-less engine is infallible by construction (the
         // `Evaluator` contract: compile failures are scored, not
-        // errors) — so this expect can never fire.
+        // errors) — so this expect can never fire. The wall time feeds
+        // the server's cost model in every telemetry mode.
+        let start = std::time::Instant::now();
         let evals = self
             .engine
             .evaluate_batch(genomes)
             .expect("executor-less worker engine cannot abort");
+        let wall_seconds = start.elapsed().as_secs_f64();
         let now = self.engine.stats();
         let stats = ShardStats {
             compiles: (now.compiles - self.last.compiles) as u32,
@@ -520,7 +523,7 @@ impl ShardWorker for EngineWorker<'_, '_> {
             full_compiles: (now.full_compiles - self.last.full_compiles) as u32,
             ast_reuse: (now.ast_reuse - self.last.ast_reuse) as u32,
             lower_reuse: (now.lower_reuse - self.last.lower_reuse) as u32,
-            wall_seconds: now.wall_seconds - self.last.wall_seconds,
+            wall_seconds,
             span,
         };
         self.last = now;

@@ -65,8 +65,8 @@ pub use potency::{
 };
 pub use priors::{mine_prior, PotencyPrior, PriorConfig, PriorMode};
 pub use service::{
-    FarmTelemetry, FaultKind, FaultPlan, LivenessConfig, ProcessFarm, ServiceConfig,
-    ServiceSummary, TransportKind, WorkerMode,
+    FarmTelemetry, FaultKind, FaultPlan, LivenessConfig, ProcessFarm, ServiceConfig, ServiceStats,
+    TransportKind, WorkerMode,
 };
 pub use store::{
     arch_tag, shard_for, shard_for_module, ArtifactRetention, ArtifactStore, AstArtifactKey,

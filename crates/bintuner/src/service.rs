@@ -51,14 +51,14 @@ use binrep::Arch;
 use evald::transport::{tcp_accept, unix_accept};
 use evald::{
     channel_duplex, tcp_listener, unix_listener, BoundUnixListener, ClientInjector, CostModel,
-    Duplex, EvalServer, EvaldError, MergeRecord, ServerTelemetry, WireAstArtifact,
+    Duplex, EvalServer, EvaldError, MergeRecord, ServerCounters, ServerTelemetry, WireAstArtifact,
     WireLowerArtifact,
 };
 use genetic::EvalAbort;
 use minicc::ast::Module;
 use minicc::{CompilerKind, CompilerProfile};
 use std::process::Child;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,11 +70,11 @@ pub use evald::{
 
 /// Telemetry wiring for one service launch
 /// ([`ServiceHandle::launch_with`]). The registry receives the farm's
-/// dispatch-latency histogram and client-churn counters; the tracer
-/// receives server-side dispatch spans and the worker stage spans
-/// stitched in off `Result` frames. Workers (threads or processes)
-/// trace into per-client id ranges when the tracer is enabled, so a
-/// stitched trace never has colliding span ids.
+/// counters and its dispatch-latency histogram; the tracer receives
+/// server-side dispatch spans and the worker stage spans stitched in
+/// off `Result` frames. Workers (threads or processes) trace into
+/// per-client id ranges when the tracer is enabled, so a stitched trace
+/// never has colliding span ids.
 #[derive(Debug, Clone)]
 pub struct FarmTelemetry {
     /// Metric families for the farm (`bintuner_farm_*`).
@@ -83,124 +83,93 @@ pub struct FarmTelemetry {
     pub tracer: btel::Tracer,
 }
 
-impl FarmTelemetry {
-    /// Resolve the farm's server-side metric handles into an
-    /// [`evald::ServerTelemetry`].
-    fn server_telemetry(&self) -> ServerTelemetry {
-        ServerTelemetry {
-            tracer: self.tracer.clone(),
-            dispatch_seconds: self.registry.histogram(
-                "bintuner_farm_dispatch_seconds",
-                "shard dispatch-to-first-result wall clock",
+/// Resolve the farm's counter handles from `registry` — the one place
+/// the `bintuner_farm_*` counter families are named. The server's go to
+/// [`EvalServer::new`], so handshake events count; the handle keeps the
+/// supervision counters, so respawns and kills after launch count.
+fn farm_counters(registry: &btel::Registry) -> (ServerCounters, SupervisionCounters) {
+    let counter = |name, help| registry.counter(name, help);
+    let stage = |reuse| {
+        registry.counter_with(
+            "bintuner_farm_client_stage_compiles_total",
+            "client compiles by stage-reuse class",
+            "reuse",
+            reuse,
+        )
+    };
+    (
+        ServerCounters {
+            shards: counter(
+                "bintuner_farm_shards_total",
+                "shards dispatched (first assignments)",
             ),
-            redispatched: self.registry.counter(
+            redispatched_shards: counter(
                 "bintuner_farm_redispatched_total",
                 "shard copies re-issued to idle clients (straggler steals)",
             ),
-            clients_joined: self.registry.counter(
+            duplicate_results: counter(
+                "bintuner_farm_duplicate_results_total",
+                "evaluations discarded because another client answered first",
+            ),
+            merged_records: counter(
+                "bintuner_farm_merged_records_total",
+                "client-cache records received at the merge barrier",
+            ),
+            merged_artifacts: counter(
+                "bintuner_farm_merged_artifacts_total",
+                "client stage artifacts received at the merge barrier",
+            ),
+            client_compiles: counter(
+                "bintuner_farm_client_compiles_total",
+                "compiles the clients ran (straggler copies included)",
+            ),
+            client_cache_hits: counter(
+                "bintuner_farm_client_cache_hits_total",
+                "evaluations the clients served from their own caches",
+            ),
+            client_full_compiles: stage("full"),
+            client_ast_reuse: stage("ast"),
+            client_lower_reuse: stage("lower"),
+            clients_lost: counter(
+                "bintuner_farm_clients_lost_total",
+                "clients lost, launch handshake included",
+            ),
+            clients_joined: counter(
                 "bintuner_farm_clients_joined_total",
                 "clients absorbed after launch (reconnects/respawns)",
             ),
-            clients_lost: self
-                .registry
-                .counter("bintuner_farm_clients_lost_total", "clients lost mid-run"),
-            heartbeat_misses: self.registry.counter(
+            heartbeat_misses: counter(
                 "bintuner_farm_heartbeat_misses_total",
                 "heartbeat probes unanswered past one interval",
             ),
-            evictions: self.registry.counter(
+            evicted_clients: counter(
                 "bintuner_farm_evictions_total",
                 "clients evicted by the liveness plane (hung or late)",
             ),
-        }
-    }
-
-    /// Resolve the respawn-plane metric handles.
-    fn supervision_counters(&self) -> SupervisionCounters {
+        },
         SupervisionCounters {
-            respawns: self.registry.counter(
+            respawns: counter(
                 "bintuner_farm_respawns_total",
                 "worker processes respawned under supervision",
             ),
-            backoff_ms: self.registry.counter(
+            backoff_ms: counter(
                 "bintuner_farm_backoff_ms_total",
                 "milliseconds spent in supervised respawn backoff",
             ),
-        }
-    }
+            workers_killed: counter(
+                "bintuner_farm_workers_killed_total",
+                "worker processes killed (drain timeout or the kill hook)",
+            ),
+        },
+    )
 }
 
-/// Respawn-plane metric handles (`bintuner_farm_{respawns,backoff_ms}`),
-/// held by the service so respawns *after* launch still count.
-#[derive(Clone)]
+/// The handle's counter handles (`bintuner_farm_{respawns,backoff_ms,
+/// workers_killed}_total`).
 struct SupervisionCounters {
     respawns: Arc<btel::Counter>,
     backoff_ms: Arc<btel::Counter>,
-}
-
-/// What the evaluation service did over one run (on
-/// [`crate::TuneResult::service`] when `TunerConfig::backend` is a
-/// service).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceSummary {
-    /// Transport the run used.
-    pub transport: TransportKind,
-    /// Whether clients were pre-forked worker processes (vs threads).
-    pub process_workers: bool,
-    /// Clients launched.
-    pub clients: usize,
-    /// Clients lost mid-run (all work re-dispatched; the result is
-    /// unaffected as long as one client survived).
-    pub clients_lost: usize,
-    /// Shards dispatched across all batches.
-    pub shards: usize,
-    /// Shard copies re-issued to idle clients (straggler re-dispatch).
-    pub redispatched_shards: usize,
-    /// Evaluations discarded because another client answered first
-    /// (bit-identical duplicates; also mirrored into
-    /// [`EngineStats::duplicate_results`](crate::EngineStats::duplicate_results)).
-    pub duplicate_results: usize,
-    /// Client-cache records merged back into the server-side store.
-    pub merged_records: usize,
-    /// Client-produced stage artifacts merged back into the server-side
-    /// artifact store.
-    pub merged_artifacts: usize,
-    /// Real compiles performed across the farm (includes duplicated
-    /// straggler work, unlike the engine's logical compile count).
-    pub farm_compiles: u64,
-    /// Farm compiles that ran the full pipeline (no stage artifact
-    /// reused in the client's tier-0 cache). The farm-side counterpart
-    /// of [`EngineStats::full_compiles`](crate::EngineStats::full_compiles)
-    /// — the engine's counter is the *logical* classification (identical
-    /// to an in-process run), this is the physical work the clients
-    /// measured, straggler duplicates included.
-    pub farm_full_compiles: u64,
-    /// Farm compiles that reused a client-cached stage-1 artifact
-    /// (optimized AST).
-    pub farm_ast_reuse: u64,
-    /// Farm compiles that reused a client-cached stage-2 artifact
-    /// (lowered binary).
-    pub farm_lower_reuse: u64,
-    /// Clients that joined *after* launch (reconnecting/respawned worker
-    /// processes absorbed mid-run).
-    pub clients_joined: usize,
-    /// Clients the liveness plane evicted (missed heartbeats or a blown
-    /// dispatch deadline); a subset of `clients_lost`.
-    pub evicted_clients: usize,
-    /// Heartbeat probes still unanswered when the next probe fired.
-    pub heartbeat_misses: u64,
-    /// Worker processes that had to be killed (drain timeout at
-    /// shutdown, or the [`ServiceHandle::kill_worker`] chaos hook).
-    pub workers_killed: usize,
-    /// Shard wall-time measurements folded into the adaptive cost model.
-    pub cost_observations: u64,
-    /// The adaptive cost model's converged farm-wide estimate
-    /// (seconds per genome), once it has seen enough shards; `None`
-    /// while the static [`minicc::ModuleFeatures`] prior still rules.
-    pub observed_secs_per_genome: Option<f64>,
-    /// Shard size chosen for each batch, in batch order — the trace
-    /// showing shard sizes converging to observed farm throughput.
-    pub shard_sizes: Vec<usize>,
+    workers_killed: Arc<btel::Counter>,
 }
 
 /// Monotonic suffix for unix socket paths, so parallel tests (or
@@ -246,12 +215,8 @@ pub struct ServiceHandle {
     /// injects late connections into the running server.
     acceptor: Option<Acceptor>,
     drain_grace_ms: u64,
-    workers_killed: AtomicUsize,
-    /// Respawn-plane metric handles (`None` without telemetry or in
-    /// thread mode — threads are never respawned).
-    supervision: Option<SupervisionCounters>,
+    supervision: SupervisionCounters,
     transport: TransportKind,
-    launched: usize,
 }
 
 /// The acceptor thread and its stop flag. The thread owns the farm's
@@ -336,7 +301,6 @@ impl std::fmt::Debug for ServiceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceHandle")
             .field("transport", &self.transport)
-            .field("clients", &self.launched)
             .finish_non_exhaustive()
     }
 }
@@ -350,7 +314,7 @@ fn spawn_with_retry(
     client_id: u32,
     fault: Option<FaultPlan>,
     attempts: u32,
-    supervision: Option<&SupervisionCounters>,
+    supervision: &SupervisionCounters,
 ) -> std::io::Result<Child> {
     let mut supervisor = Supervisor::new(BackoffSchedule::default(), attempts.max(1));
     loop {
@@ -358,10 +322,8 @@ fn spawn_with_retry(
             Ok(child) => return Ok(child),
             Err(e) => match supervisor.on_failure() {
                 SupervisorVerdict::Retry { delay_ms } => {
-                    if let Some(c) = supervision {
-                        c.respawns.inc();
-                        c.backoff_ms.add(delay_ms);
-                    }
+                    supervision.respawns.inc();
+                    supervision.backoff_ms.add(delay_ms);
                     std::thread::sleep(Duration::from_millis(delay_ms));
                 }
                 SupervisorVerdict::GiveUp => return Err(e),
@@ -434,11 +396,12 @@ impl ServiceHandle {
         ServiceHandle::launch_with(cfg, kind, module, arch, artifact_cache, None)
     }
 
-    /// [`ServiceHandle::launch`] with telemetry wiring: the server's
-    /// dispatch metrics and stitched spans land in `tel`'s registry and
-    /// tracer, and — when the tracer is enabled — every client traces
-    /// its compile stages back over the wire. `None` is the Off-mode
-    /// purity contract: bit-identical to a pre-telemetry launch.
+    /// [`ServiceHandle::launch`] with telemetry wiring: the farm's
+    /// counters, dispatch histogram and stitched spans land in `tel`'s
+    /// registry and tracer, and — when the tracer is enabled — every
+    /// client traces its compile stages back over the wire. `None` is
+    /// the Off-mode purity contract: no telemetry clock reads and no
+    /// spans; the counters count in a private registry.
     ///
     /// One path for both worker modes: bind the transport once, start
     /// the workers (threads get a connected end each; processes connect
@@ -472,9 +435,10 @@ impl ServiceHandle {
             WorkerMode::Threads => None,
             WorkerMode::Processes(farm) => Some(farm),
         };
-        let supervision = farm
-            .and(tel.as_ref())
-            .map(FarmTelemetry::supervision_counters);
+        // Counters count in every telemetry mode: without a registry to
+        // export to, they live in a private one.
+        let (counters, supervision) =
+            farm_counters(tel.as_ref().map_or(&btel::Registry::new(), |t| &t.registry));
         let listener = FarmListener::bind(cfg.transport)?;
         let mut clients = Vec::new();
         let mut children: Vec<Option<Child>> = Vec::new();
@@ -526,17 +490,23 @@ impl ServiceHandle {
                             i as u32,
                             fault_for(i),
                             farm.spawn_attempts,
-                            supervision.as_ref(),
+                            &supervision,
                         )?));
                     }
                     accept_workers(listener, n_clients, farm.accept_deadline_ms, &mut children)?
                 }
             };
             let cost = CostModel::from_features(&module.features());
-            let mut server = EvalServer::new(server_side, cost, n_flags)?;
+            let mut server = EvalServer::new(server_side, cost, n_flags, counters)?;
             server.set_liveness(cfg.liveness);
             if let Some(t) = &tel {
-                server.set_telemetry(t.server_telemetry());
+                server.set_telemetry(ServerTelemetry {
+                    tracer: t.tracer.clone(),
+                    dispatch_seconds: t.registry.histogram(
+                        "bintuner_farm_dispatch_seconds",
+                        "shard dispatch-to-first-result wall clock",
+                    ),
+                });
             }
             // Every worker builds its engine from the job description;
             // ship it before any Work frame can be dispatched.
@@ -576,10 +546,8 @@ impl ServiceHandle {
             next_worker_id: AtomicU32::new(n_clients as u32),
             acceptor,
             drain_grace_ms: farm.map_or(0, |f| f.drain_grace_ms),
-            workers_killed: AtomicUsize::new(0),
             supervision,
             transport: cfg.transport,
-            launched: n_clients,
         })
     }
 
@@ -597,7 +565,7 @@ impl ServiceHandle {
         };
         let _ = child.kill();
         let _ = child.wait();
-        self.workers_killed.fetch_add(1, Ordering::Relaxed);
+        self.supervision.workers_killed.inc();
         true
     }
 
@@ -618,18 +586,27 @@ impl ServiceHandle {
         })?;
         let id = self.next_worker_id.fetch_add(1, Ordering::Relaxed);
         let child = spec.spawn(id, None)?;
-        if let Some(c) = &self.supervision {
-            c.respawns.inc();
-        }
+        self.supervision.respawns.inc();
         self.children.lock().unwrap().push(Some(child));
         Ok(id)
     }
 
-    /// A live snapshot of the service telemetry (`None` once
+    /// A live read of the service's counters (`None` once
     /// [`ServiceHandle::finish`] has consumed the server). Lets chaos
     /// tests watch a respawned worker get absorbed mid-run.
     pub fn stats(&self) -> Option<ServiceStats> {
-        self.server.lock().unwrap().as_ref().map(EvalServer::stats)
+        let server = self.server.lock().unwrap();
+        server.as_ref().map(|s| self.with_handle_facts(s.stats()))
+    }
+
+    /// `stats` completed with the facts only the handle knows.
+    fn with_handle_facts(&self, stats: ServiceStats) -> ServiceStats {
+        ServiceStats {
+            transport: self.transport,
+            process_workers: self.spec.is_some(),
+            workers_killed: self.supervision.workers_killed.get() as usize,
+            ..stats
+        }
     }
 
     /// Take the service failure behind the most recent batch abort, if
@@ -698,7 +675,7 @@ impl ServiceHandle {
                 for child in children.iter_mut().flatten() {
                     if matches!(child.try_wait(), Ok(None)) {
                         let _ = child.kill();
-                        self.workers_killed.fetch_add(1, Ordering::Relaxed);
+                        self.supervision.workers_killed.inc();
                     }
                 }
                 break;
@@ -713,55 +690,19 @@ impl ServiceHandle {
     }
 
     /// Shut the service down: stop the clients, join their threads /
-    /// drain their processes, and return the final telemetry plus the
+    /// drain their processes, and return the final counter read plus the
     /// accumulated merge records for the tuner's single-writer store
     /// fold.
-    pub fn finish(mut self) -> (ServiceSummary, Vec<MergeRecord>) {
-        // Cost-model telemetry must be read before shutdown consumes the
-        // server.
-        let (merged, observed_secs_per_genome, shard_sizes) = {
-            let mut guard = self.server.lock().unwrap();
-            let merged = guard
-                .as_mut()
-                .map(EvalServer::take_merged)
-                .unwrap_or_default();
-            let (observed, sizes) = guard
-                .as_ref()
-                .map(|s| {
-                    (
-                        s.cost_model().observed_secs_per_genome(),
-                        s.shard_sizes().to_vec(),
-                    )
-                })
-                .unwrap_or((None, Vec::new()));
-            (merged, observed, sizes)
-        };
+    pub fn finish(mut self) -> (ServiceStats, Vec<MergeRecord>) {
+        let merged = self
+            .server
+            .lock()
+            .unwrap()
+            .as_mut()
+            .map(EvalServer::take_merged)
+            .unwrap_or_default();
         let stats = self.teardown().expect("finish tears down once");
-        (
-            ServiceSummary {
-                transport: self.transport,
-                process_workers: self.spec.is_some(),
-                clients: self.launched,
-                clients_lost: stats.clients_lost,
-                shards: stats.shards,
-                redispatched_shards: stats.redispatched_shards,
-                duplicate_results: stats.duplicate_results,
-                merged_records: stats.merged_records,
-                merged_artifacts: stats.merged_artifacts,
-                farm_compiles: stats.client_compiles,
-                farm_full_compiles: stats.client_full_compiles,
-                farm_ast_reuse: stats.client_ast_reuse,
-                farm_lower_reuse: stats.client_lower_reuse,
-                clients_joined: stats.clients_joined,
-                evicted_clients: stats.evicted_clients,
-                heartbeat_misses: stats.heartbeat_misses,
-                workers_killed: self.workers_killed.load(Ordering::Relaxed),
-                cost_observations: stats.cost_observations,
-                observed_secs_per_genome,
-                shard_sizes,
-            },
-            merged,
-        )
+        (self.with_handle_facts(stats), merged)
     }
 }
 

@@ -6,7 +6,7 @@
 use crate::db::{Database, IterationRow};
 use crate::engine::{EngineConfig, EngineStats, FitnessEngine, FAILED_COMPILE_PENALTY};
 use crate::priors::{mine_prior, PriorConfig, PriorMode};
-use crate::service::{ServiceConfig, ServiceHandle, ServiceSummary};
+use crate::service::{ServiceConfig, ServiceHandle, ServiceStats};
 use crate::store::{ArtifactStore, FitnessStore, FlagBits, SaveOutcome, StoreKey, StoredFitness};
 use binrep::{Arch, Binary};
 use genetic::{Ga, GaParams, GaRun, StopReason, Termination};
@@ -96,9 +96,10 @@ pub struct TunerConfig {
     /// in the eval server and every worker client, whose spans stitch
     /// back over the wire), and returns them in
     /// [`TuneResult::registry`] / [`TuneResult::spans`]. `Off` is a
-    /// hard purity contract — no extra clock reads, no telemetry state,
-    /// a run bit-identical to a pre-telemetry tuner (differentially
-    /// tested on every backend).
+    /// hard purity contract — no extra clock reads, no spans, a run
+    /// bit-identical to a pre-telemetry tuner (differentially tested on
+    /// every backend); the engine and farm counters still count, in
+    /// private registries that are not exported.
     pub telemetry: btel::TelemetryMode,
     /// Where to write the run's trace spans as JSONL (one object per
     /// line), if anywhere. Only written when [`TunerConfig::telemetry`]
@@ -292,9 +293,8 @@ pub struct TuneResult {
     pub baseline: Binary,
     /// Per-iteration records.
     pub db: Database,
-    /// Fitness-engine telemetry: cache hits (in-run and persistent),
-    /// real compiles, failed compiles, measured wall-clock (all zeros on
-    /// the sequential compat path).
+    /// Fitness-engine counts: cache hits (in-run and persistent), real
+    /// compiles, failed compiles (all zeros on the sequential path).
     pub engine_stats: EngineStats,
     /// Offspring re-bred by population-level dedup
     /// ([`TunerConfig::dedup`]; 0 when disabled).
@@ -305,9 +305,9 @@ pub struct TuneResult {
     /// What the mined prior contributed ([`TunerConfig::priors`];
     /// `None` when priors are off or no store is configured).
     pub prior: Option<PriorSummary>,
-    /// Evaluation-service telemetry ([`TunerConfig::backend`]; `None`
+    /// Evaluation-service counts ([`TunerConfig::backend`]; `None`
     /// for the in-process backend).
-    pub service: Option<ServiceSummary>,
+    pub service: Option<ServiceStats>,
     /// The metric registry behind this run, for exposition via
     /// [`btel::Registry::render_text`]. `None` when
     /// [`TunerConfig::telemetry`] was `Off`.
@@ -548,7 +548,7 @@ impl Tuner {
             }
         };
         let baseline = engine.baseline_binary().clone();
-        let mut stats = engine.stats();
+        let stats = engine.stats();
         let (store_after, artifacts_after) = engine.into_stores();
         // Tear the service down before saving: its merge records fold
         // into the store through this single writer (appends serialized
@@ -612,10 +612,7 @@ impl Tuner {
             }
             let _ = artifacts.save();
         }
-        let service_summary = service_outcome.map(|(summary, _)| summary);
-        if let Some(summary) = &service_summary {
-            stats.duplicate_results = summary.duplicate_results;
-        }
+        let service_stats = service_outcome.map(|(stats, _)| stats);
         let prior_summary = prior.map(|p| {
             let seed_best_ncd = run
                 .history
@@ -662,7 +659,7 @@ impl Tuner {
             stats,
             persistence,
             prior_summary,
-            service_summary,
+            service_stats,
             registry,
             spans,
         )
@@ -720,7 +717,7 @@ impl Tuner {
         engine_stats: EngineStats,
         persistence: Option<PersistSummary>,
         prior: Option<PriorSummary>,
-        service: Option<ServiceSummary>,
+        service: Option<ServiceStats>,
         registry: Option<std::sync::Arc<btel::Registry>>,
         spans: Vec<btel::SpanRecord>,
     ) -> Result<TuneResult, TuneError> {

@@ -113,16 +113,19 @@ fn artifact_cache_on_off_is_bit_identical_on_service_backend() {
     // must have skipped a stage.
     let summary = on.service.expect("service summary");
     assert_eq!(
-        summary.farm_compiles,
-        summary.farm_full_compiles + summary.farm_ast_reuse + summary.farm_lower_reuse,
+        summary.client_compiles,
+        summary.client_full_compiles + summary.client_ast_reuse + summary.client_lower_reuse,
         "farm stage counters must partition farm compiles"
     );
     assert!(
-        summary.farm_ast_reuse + summary.farm_lower_reuse > 0,
+        summary.client_ast_reuse + summary.client_lower_reuse > 0,
         "{summary:?}"
     );
     let off_summary = off.service.expect("service summary");
-    assert_eq!(off_summary.farm_full_compiles, off_summary.farm_compiles);
+    assert_eq!(
+        off_summary.client_full_compiles,
+        off_summary.client_compiles
+    );
 }
 
 #[test]

@@ -81,7 +81,7 @@ fn assert_identical_runs(a: &TuneResult, b: &TuneResult, what: &str) {
 fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
     let bench = corpus::by_name("462.libquantum").unwrap();
     let off = Tuner::new(small_tuner(60)).tune(&bench.module).unwrap();
-    assert!(off.registry.is_none(), "Off mode allocates no registry");
+    assert!(off.registry.is_none(), "Off mode exports no registry");
     assert!(off.spans.is_empty(), "Off mode records no spans");
 
     // In-process engine with the full plane live.
@@ -144,6 +144,35 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
         let text = registry.render_text();
         assert!(text.contains("bintuner_engine_stage_seconds_bucket"));
         assert!(run.spans.iter().any(|s| s.name == "batch"), "{what}: spans");
+    }
+
+    // The farm's counters are the service read: each event is counted
+    // once, in the registry, and `run.service` reads it back.
+    for (run, what) in [(&unix, "unix"), (&tcp, "tcp")] {
+        let registry = run.registry.as_ref().expect("telemetry registry");
+        let service = run.service.as_ref().expect("service stats");
+        let farm = |family| registry.counter_value(family, None);
+        assert_eq!(
+            farm("bintuner_farm_shards_total"),
+            Some(service.shards as u64),
+            "{what}: shards"
+        );
+        assert_eq!(
+            farm("bintuner_farm_duplicate_results_total"),
+            Some(service.duplicate_results as u64),
+            "{what}: duplicate results"
+        );
+        assert_eq!(
+            farm("bintuner_farm_clients_lost_total"),
+            Some(service.clients_lost as u64),
+            "{what}: clients lost"
+        );
+        assert_eq!(
+            farm("bintuner_farm_client_compiles_total"),
+            Some(service.client_compiles),
+            "{what}: client compiles"
+        );
+        assert!(service.shards > 0 && service.client_compiles > 0, "{what}");
     }
 }
 

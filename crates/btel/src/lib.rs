@@ -29,10 +29,13 @@
 //!
 //! Telemetry defaults to [`TelemetryMode::Off`] everywhere it is
 //! threaded. In Off mode instrumented code takes *no* clock readings
-//! and touches *no* telemetry state — the instrumented hot paths are
-//! bit-identical to their pre-instrumentation selves, which is what
+//! and records *no* histograms or spans — the instrumented hot paths
+//! are bit-identical to their pre-instrumentation selves, which is what
 //! keeps the reproduction's trajectory differentials (in-process ≡
-//! service ≡ process farm) meaningful.
+//! service ≡ process farm) meaningful. Counters are the exception by
+//! design: they are the only store of the counts they hold, so they
+//! always count (one relaxed atomic add, no clock read), in a private
+//! registry when nothing is exported.
 //!
 //! Monotonic-clock discipline: every duration in this crate comes from
 //! [`std::time::Instant`]. The non-monotonic system wall clock never
@@ -48,13 +51,14 @@ use std::time::Instant;
 /// Whether a component records telemetry.
 ///
 /// `Off` (the default) is a hard purity contract, not a filter: code
-/// holding `Off` must not read clocks or touch telemetry state at all.
+/// holding `Off` must not read clocks or record histograms or spans.
+/// Counters count in either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryMode {
     /// No telemetry: bit-identical to pre-instrumentation behavior.
     #[default]
     Off,
-    /// Record counters, histograms and trace spans.
+    /// Record histograms and trace spans, and export the counters.
     On,
 }
 

@@ -52,7 +52,7 @@ pub mod wire;
 
 pub use client::{run_client, serve, ClientOptions, ShardWorker};
 pub use scheduler::{CostModel, Scheduler};
-pub use server::{ClientInjector, EvalServer, ServerTelemetry, ServiceStats};
+pub use server::{ClientInjector, EvalServer, ServerCounters, ServerTelemetry, ServiceStats};
 pub use transport::{
     channel_duplex, tcp_connect, tcp_listener, unix_connect, unix_listener, BoundUnixListener,
     Duplex, FrameReceiver, FrameSender,

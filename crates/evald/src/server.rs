@@ -32,20 +32,28 @@
 use crate::scheduler::{CostModel, Scheduler};
 use crate::transport::{Duplex, FrameReceiver, FrameSender};
 use crate::wire::{
-    decode_frame, encode_frame, Frame, MergeRecord, WireAstArtifact, WireEval, WireLowerArtifact,
-    WireSpan,
+    decode_frame, encode_frame, Frame, MergeRecord, ShardStats, WireAstArtifact, WireEval,
+    WireLowerArtifact, WireSpan,
 };
-use crate::{EvaldError, LivenessConfig};
+use crate::{EvaldError, LivenessConfig, TransportKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Cumulative service telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// What the evaluation service did: a typed read of the server's
+/// counters plus the facts it owns ([`EvalServer::stats`]). Fields set
+/// by the embedder stay at their defaults in the server's own read.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
-    /// Batches evaluated.
+    /// Transport the service ran on (set by the embedder).
+    pub transport: TransportKind,
+    /// Whether clients were worker processes (set by the embedder).
+    pub process_workers: bool,
+    /// Client connections the server was built over.
+    pub clients: usize,
+    /// Batches evaluated (one shard size each).
     pub batches: usize,
     /// Shards dispatched (first assignments).
     pub shards: usize,
@@ -72,7 +80,7 @@ pub struct ServiceStats {
     pub client_ast_reuse: u64,
     /// Client compiles that reused a cached stage-2 artifact.
     pub client_lower_reuse: u64,
-    /// Clients lost over the service's lifetime.
+    /// Clients lost over the service's lifetime, handshake included.
     pub clients_lost: usize,
     /// Clients that joined *after* launch (reconnecting or respawned
     /// worker processes absorbed mid-run via [`ClientInjector`]).
@@ -86,29 +94,50 @@ pub struct ServiceStats {
     /// heartbeats or a blown dispatch deadline. A subset of
     /// [`ServiceStats::clients_lost`].
     pub evicted_clients: usize,
+    /// Worker processes the embedder had to kill (set by the embedder).
+    pub workers_killed: usize,
+    /// The adaptive cost model's converged farm-wide estimate (seconds
+    /// per genome), once it has seen enough shards; `None` while the
+    /// static prior still rules.
+    pub observed_secs_per_genome: Option<f64>,
+    /// Shard size chosen for each batch, in batch order — the trace of
+    /// the cost model converging away from its static prior.
+    pub shard_sizes: Vec<usize>,
 }
 
-/// The embedder's telemetry handles for the dispatch server, resolved
-/// once against a `btel::Registry` and installed via
+/// The dispatch server's counter handles, the only store of its event
+/// counts: each stores the [`ServiceStats`] count of the same name. They
+/// are always live (one relaxed atomic add per event, no clock read) and
+/// handed to [`EvalServer::new`], so handshake events count too.
+/// `ServerCounters::default()` is a detached set.
+#[allow(missing_docs)] // documented on the same-named ServiceStats fields
+#[derive(Debug, Default)]
+pub struct ServerCounters {
+    pub shards: Arc<btel::Counter>,
+    pub redispatched_shards: Arc<btel::Counter>,
+    pub duplicate_results: Arc<btel::Counter>,
+    pub merged_records: Arc<btel::Counter>,
+    pub merged_artifacts: Arc<btel::Counter>,
+    pub client_compiles: Arc<btel::Counter>,
+    pub client_cache_hits: Arc<btel::Counter>,
+    pub client_full_compiles: Arc<btel::Counter>,
+    pub client_ast_reuse: Arc<btel::Counter>,
+    pub client_lower_reuse: Arc<btel::Counter>,
+    pub clients_lost: Arc<btel::Counter>,
+    pub clients_joined: Arc<btel::Counter>,
+    pub heartbeat_misses: Arc<btel::Counter>,
+    pub evicted_clients: Arc<btel::Counter>,
+}
+
+/// The embedder's timing handles for the dispatch server, installed via
 /// [`EvalServer::set_telemetry`]. Absent (the default), the server
-/// takes no clock readings and sends span id `0` on every `Work` frame
-/// — bit-identical to pre-telemetry behavior.
+/// takes no telemetry clock readings and sends span id `0` on every
+/// `Work` frame — bit-identical to pre-telemetry behavior.
 pub struct ServerTelemetry {
     /// Records shard-dispatch spans and stitches in worker spans.
     pub tracer: btel::Tracer,
     /// Dispatch latency: `Work` sent → first `Result` received.
     pub dispatch_seconds: Arc<btel::Histogram>,
-    /// Shard copies handed out beyond the first assignment.
-    pub redispatched: Arc<btel::Counter>,
-    /// Clients admitted after launch (reconnects).
-    pub clients_joined: Arc<btel::Counter>,
-    /// Clients lost over the service's lifetime.
-    pub clients_lost: Arc<btel::Counter>,
-    /// Heartbeat probes unanswered when the next probe fired.
-    pub heartbeat_misses: Arc<btel::Counter>,
-    /// Liveness evictions (missed heartbeats or blown dispatch
-    /// deadlines).
-    pub evictions: Arc<btel::Counter>,
 }
 
 enum Event {
@@ -203,7 +232,10 @@ pub struct EvalServer {
     pending_hello: HashSet<u32>,
     next_shard_id: u64,
     next_batch: u64,
-    stats: ServiceStats,
+    /// Client connections the server was built over.
+    launched: usize,
+    /// The only store of the server's event counts.
+    counters: ServerCounters,
     merged: Vec<MergeRecord>,
     merged_ast: Vec<WireAstArtifact>,
     merged_lower: Vec<WireLowerArtifact>,
@@ -215,10 +247,10 @@ pub struct EvalServer {
     /// Clients with no useful work at last dispatch — re-poked when a
     /// client death re-queues shards.
     idle: HashSet<u32>,
-    /// Telemetry handles; `None` (the default) is the Off-mode purity
-    /// contract: no telemetry clocks, no spans, no metric writes. (The
-    /// liveness plane keeps its own clock regardless — it steers
-    /// scheduling, which never changes results, not telemetry.)
+    /// Timing handles; `None` (the default) is the Off-mode purity
+    /// contract: no telemetry clocks, no spans. (The liveness plane
+    /// keeps its own clock regardless — it steers scheduling, which
+    /// never changes results, not telemetry.)
     tel: Option<ServerTelemetry>,
     /// Heartbeat cadence and dispatch-deadline policy (see
     /// [`LivenessConfig`]); installed via [`EvalServer::set_liveness`].
@@ -248,7 +280,8 @@ impl EvalServer {
     /// Build a server over established connections and complete the
     /// handshake: every client must send [`Frame::Hello`] with a
     /// matching chromosome width. Clients that fail the handshake are
-    /// dropped (counted in [`ServiceStats::clients_lost`]).
+    /// dropped (counted in `counters.clients_lost`, like every later
+    /// loss).
     ///
     /// # Errors
     ///
@@ -257,6 +290,7 @@ impl EvalServer {
         connections: Vec<Duplex>,
         cost: CostModel,
         expect_n_flags: u16,
+        counters: ServerCounters,
     ) -> Result<EvalServer, EvaldError> {
         let (tx, rx) = mpsc::channel();
         let mut senders = Vec::new();
@@ -265,7 +299,8 @@ impl EvalServer {
             senders.push(Some(duplex.tx));
             readers.push(spawn_reader(id as u32, duplex.rx, tx.clone()));
         }
-        let next_client_id = Arc::new(AtomicU32::new(senders.len() as u32));
+        let launched = senders.len();
+        let next_client_id = Arc::new(AtomicU32::new(launched as u32));
         let mut server = EvalServer {
             senders,
             events: rx,
@@ -278,7 +313,8 @@ impl EvalServer {
             pending_hello: HashSet::new(),
             next_shard_id: 0,
             next_batch: 0,
-            stats: ServiceStats::default(),
+            launched,
+            counters,
             merged: Vec::new(),
             merged_ast: Vec::new(),
             merged_lower: Vec::new(),
@@ -297,10 +333,11 @@ impl EvalServer {
         Ok(server)
     }
 
-    /// Install telemetry handles. Dispatches from here on carry real
-    /// span ids on their `Work` frames, dispatch latency lands in the
+    /// Install timing handles. Dispatches from here on carry real span
+    /// ids on their `Work` frames, dispatch latency lands in the
     /// histogram, and worker-recorded spans are stitched into the
-    /// tracer as results arrive.
+    /// tracer as results arrive. Counts need no installation: they go
+    /// to the counters given to [`EvalServer::new`].
     pub fn set_telemetry(&mut self, tel: ServerTelemetry) {
         self.tel = Some(tel);
     }
@@ -386,10 +423,7 @@ impl EvalServer {
             self.drop_client(client);
             return false;
         }
-        self.stats.clients_joined += 1;
-        if let Some(t) = &self.tel {
-            t.clients_joined.inc();
-        }
+        self.counters.clients_joined.inc();
         if let Some(job) = self.job.clone() {
             if !self.send_to(client, &Frame::Job { payload: job }) {
                 return false;
@@ -405,10 +439,7 @@ impl EvalServer {
             // violation, handshake mismatch) and our own reader thread
             // must both observe EOF instead of blocking forever.
             sender.close();
-            self.stats.clients_lost += 1;
-            if let Some(t) = &self.tel {
-                t.clients_lost.inc();
-            }
+            self.counters.clients_lost.inc();
         }
         self.pending_hello.remove(&client);
         self.idle.remove(&client);
@@ -474,10 +505,7 @@ impl EvalServer {
                 }
                 let missed = self.unanswered_pings.get(&c).copied().unwrap_or(0);
                 if missed > 0 {
-                    self.stats.heartbeat_misses += 1;
-                    if let Some(t) = &self.tel {
-                        t.heartbeat_misses.inc();
-                    }
+                    self.counters.heartbeat_misses.inc();
                 }
                 if missed >= self.liveness.max_missed_heartbeats {
                     condemned.push(c);
@@ -500,10 +528,7 @@ impl EvalServer {
         self.last_loss = Some(format!(
             "client {client} evicted: missed heartbeats or blew its dispatch deadline"
         ));
-        self.stats.evicted_clients += 1;
-        if let Some(t) = &self.tel {
-            t.evictions.inc();
-        }
+        self.counters.evicted_clients.inc();
     }
 
     /// Send a frame to `client`; on failure the client is dropped and
@@ -562,12 +587,6 @@ impl EvalServer {
         Ok(())
     }
 
-    /// Fold one shard's measured wall time into the adaptive cost model.
-    fn observe_cost(&mut self, client: u32, genomes: usize, wall_seconds: f64) {
-        self.cost.observe(client, genomes, wall_seconds);
-        self.stats.cost_observations = self.cost.observations();
-    }
-
     /// Give `client` its next shard if the scheduler has one; otherwise
     /// mark it idle.
     fn dispatch_next(&mut self, sched: &mut Scheduler, client: u32) {
@@ -614,16 +633,29 @@ impl EvalServer {
         }
     }
 
-    /// Close out a shard's dispatch span and stitch the worker's spans
-    /// into the trace (no-op without telemetry). `span` is the dispatch
-    /// span the worker echoed back ([`crate::wire::ShardStats::span`]):
-    /// the copy that
-    /// actually produced this result, `0` when the Work frame predates
-    /// telemetry.
-    fn fold_result_telemetry(&mut self, client: u32, span: u64, spans: Vec<WireSpan>) {
+    /// Fold one `Result` frame's shard report, whichever copy of the
+    /// shard it answers: count the client's reported work, feed its
+    /// measured wall time to the adaptive cost model, and — with timing
+    /// installed — close the dispatch span the worker echoed back
+    /// ([`crate::wire::ShardStats::span`], `0` when the Work frame
+    /// carried none) and stitch the worker's spans into the trace.
+    fn fold_result(
+        &mut self,
+        client: u32,
+        genomes: usize,
+        stats: &ShardStats,
+        spans: Vec<WireSpan>,
+    ) {
+        let c = &self.counters;
+        c.client_compiles.add(u64::from(stats.compiles));
+        c.client_cache_hits.add(u64::from(stats.cache_hits));
+        c.client_full_compiles.add(u64::from(stats.full_compiles));
+        c.client_ast_reuse.add(u64::from(stats.ast_reuse));
+        c.client_lower_reuse.add(u64::from(stats.lower_reuse));
+        self.cost.observe(client, genomes, stats.wall_seconds);
         let Some(t) = &self.tel else { return };
-        if let Some(sent) = self.inflight_spans.remove(&span) {
-            t.tracer.record_with_id(span, "dispatch", 0, sent);
+        if let Some(sent) = self.inflight_spans.remove(&stats.span) {
+            t.tracer.record_with_id(stats.span, "dispatch", 0, sent);
             t.dispatch_seconds
                 .observe_seconds(sent.elapsed().as_secs_f64());
         }
@@ -664,8 +696,7 @@ impl EvalServer {
         self.shard_sizes.push(shard_size);
         let mut sched = Scheduler::new(self.next_shard_id, genomes, shard_size);
         self.next_shard_id += sched.shard_count() as u64;
-        self.stats.batches += 1;
-        self.stats.shards += sched.shard_count();
+        self.counters.shards.add(sched.shard_count() as u64);
         let mut out: Vec<Option<WireEval>> = vec![None; genomes.len()];
 
         self.idle.clear();
@@ -708,13 +739,7 @@ impl EvalServer {
                     },
                 ) => {
                     self.dispatch_deadlines.remove(&c);
-                    self.stats.client_compiles += u64::from(stats.compiles);
-                    self.stats.client_cache_hits += u64::from(stats.cache_hits);
-                    self.stats.client_full_compiles += u64::from(stats.full_compiles);
-                    self.stats.client_ast_reuse += u64::from(stats.ast_reuse);
-                    self.stats.client_lower_reuse += u64::from(stats.lower_reuse);
-                    self.observe_cost(c, evals.len(), stats.wall_seconds);
-                    self.fold_result_telemetry(c, stats.span, spans);
+                    self.fold_result(c, evals.len(), &stats, spans);
                     match sched.complete(shard) {
                         Some(start) if sched.shard_len(shard) == Some(evals.len()) => {
                             for (k, e) in evals.into_iter().enumerate() {
@@ -731,7 +756,7 @@ impl EvalServer {
                                 "result length does not match its shard",
                             ));
                         }
-                        None => self.stats.duplicate_results += evals.len(),
+                        None => self.counters.duplicate_results.add(evals.len() as u64),
                     }
                     self.dispatch_next(&mut sched, c);
                 }
@@ -778,10 +803,9 @@ impl EvalServer {
             }
         }
 
-        self.stats.redispatched_shards += sched.redispatched;
-        if let Some(t) = &self.tel {
-            t.redispatched.add(sched.redispatched as u64);
-        }
+        self.counters
+            .redispatched_shards
+            .add(sched.redispatched as u64);
         self.flush_merges()?;
         // Dispatch spans whose results never arrived (copies sent to
         // clients that died mid-shard) would otherwise leak across
@@ -854,14 +878,8 @@ impl EvalServer {
                     // batch completed: pure duplicate — but still a real
                     // wall-time measurement for the cost model, and its
                     // trace spans still stitch under their own dispatch.
-                    self.fold_result_telemetry(c, stats.span, spans);
-                    self.stats.client_compiles += u64::from(stats.compiles);
-                    self.stats.client_cache_hits += u64::from(stats.cache_hits);
-                    self.stats.client_full_compiles += u64::from(stats.full_compiles);
-                    self.stats.client_ast_reuse += u64::from(stats.ast_reuse);
-                    self.stats.client_lower_reuse += u64::from(stats.lower_reuse);
-                    self.observe_cost(c, evals.len(), stats.wall_seconds);
-                    self.stats.duplicate_results += evals.len();
+                    self.fold_result(c, evals.len(), &stats, spans);
+                    self.counters.duplicate_results.add(evals.len() as u64);
                 }
                 Event::Frame(c, Frame::Hello { n_flags, .. }) => {
                     // A worker reconnecting between batches: admit it —
@@ -897,8 +915,10 @@ impl EvalServer {
         ast: Vec<WireAstArtifact>,
         lower: Vec<WireLowerArtifact>,
     ) {
-        self.stats.merged_records += records.len();
-        self.stats.merged_artifacts += ast.len() + lower.len();
+        self.counters.merged_records.add(records.len() as u64);
+        self.counters
+            .merged_artifacts
+            .add((ast.len() + lower.len()) as u64);
         self.merged.extend(records);
         self.merged_ast.extend(ast);
         self.merged_lower.extend(lower);
@@ -920,21 +940,34 @@ impl EvalServer {
         )
     }
 
-    /// A snapshot of the service telemetry.
+    /// A typed read of the server's counters and the facts it owns.
+    /// Servers built over counters shared with another server read the
+    /// shared totals.
     pub fn stats(&self) -> ServiceStats {
-        self.stats
-    }
-
-    /// The (adaptive) cost model, including its observed per-client
-    /// rates — convergence telemetry.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Shard size chosen for each batch, in batch order: the trace that
-    /// shows the adaptive model converging away from the static prior.
-    pub fn shard_sizes(&self) -> &[usize] {
-        &self.shard_sizes
+        let c = &self.counters;
+        let n = |c: &btel::Counter| c.get() as usize;
+        ServiceStats {
+            clients: self.launched,
+            batches: self.shard_sizes.len(),
+            shards: n(&c.shards),
+            redispatched_shards: n(&c.redispatched_shards),
+            duplicate_results: n(&c.duplicate_results),
+            merged_records: n(&c.merged_records),
+            merged_artifacts: n(&c.merged_artifacts),
+            client_compiles: c.client_compiles.get(),
+            client_cache_hits: c.client_cache_hits.get(),
+            client_full_compiles: c.client_full_compiles.get(),
+            client_ast_reuse: c.client_ast_reuse.get(),
+            client_lower_reuse: c.client_lower_reuse.get(),
+            clients_lost: n(&c.clients_lost),
+            clients_joined: n(&c.clients_joined),
+            cost_observations: self.cost.observations(),
+            heartbeat_misses: c.heartbeat_misses.get(),
+            evicted_clients: n(&c.evicted_clients),
+            observed_secs_per_genome: self.cost.observed_secs_per_genome(),
+            shard_sizes: self.shard_sizes.clone(),
+            ..ServiceStats::default()
+        }
     }
 
     /// Why the most recently lost client disconnected, if any did
@@ -944,10 +977,10 @@ impl EvalServer {
     }
 
     /// Shut the service down: tell every live client to exit, then join
-    /// the reader threads. Returns the final telemetry.
+    /// the reader threads. Returns the final [`EvalServer::stats`] read.
     pub fn shutdown(mut self) -> ServiceStats {
         self.teardown();
-        self.stats
+        self.stats()
     }
 
     /// Idempotent teardown shared by [`EvalServer::shutdown`] and `Drop`.
@@ -1064,7 +1097,13 @@ mod tests {
                 let _ = run_client(&mut w, c, &opts);
             }));
         }
-        let server = EvalServer::new(server_side, CostModel::uniform(), 4).unwrap();
+        let server = EvalServer::new(
+            server_side,
+            CostModel::uniform(),
+            4,
+            ServerCounters::default(),
+        )
+        .unwrap();
         (server, handles)
     }
 
@@ -1201,7 +1240,7 @@ mod tests {
         let (s, c) = channel_duplex();
         drop(c);
         assert!(matches!(
-            EvalServer::new(vec![s], CostModel::uniform(), 4),
+            EvalServer::new(vec![s], CostModel::uniform(), 4, ServerCounters::default()),
             Err(EvaldError::NoClients)
         ));
     }
@@ -1233,7 +1272,12 @@ mod tests {
         });
         let server_end = crate::transport::unix_accept(&listener).unwrap();
         assert!(matches!(
-            EvalServer::new(vec![server_end], CostModel::uniform(), 4),
+            EvalServer::new(
+                vec![server_end],
+                CostModel::uniform(),
+                4,
+                ServerCounters::default()
+            ),
             Err(EvaldError::NoClients)
         ));
         // The join completing IS the assertion.
@@ -1264,7 +1308,13 @@ mod tests {
             );
         });
         let server_end = crate::transport::unix_accept(&listener).unwrap();
-        let server = EvalServer::new(vec![server_end], CostModel::uniform(), 4).unwrap();
+        let server = EvalServer::new(
+            vec![server_end],
+            CostModel::uniform(),
+            4,
+            ServerCounters::default(),
+        )
+        .unwrap();
         drop(server);
         handle.join().unwrap();
         let _ = std::fs::remove_file(&path);
@@ -1304,7 +1354,7 @@ mod tests {
         assert_eq!(stats.clients_joined, 1);
         assert_eq!(stats.clients_lost, 0);
         assert!(stats.cost_observations > 0, "wall times fed the cost model");
-        assert!(!server.shard_sizes().is_empty());
+        assert!(!stats.shard_sizes.is_empty());
         server.shutdown();
         for h in handles {
             h.join().unwrap();
@@ -1344,6 +1394,44 @@ mod tests {
     }
 
     #[test]
+    fn a_client_lost_in_the_handshake_is_counted_in_the_registry() {
+        // The counters are live before the handshake runs, so a client
+        // dropped there reaches the registry the embedder reads.
+        let registry = btel::Registry::new();
+        let counters = ServerCounters {
+            clients_lost: registry.counter("evald_clients_lost_total", "clients lost"),
+            ..ServerCounters::default()
+        };
+        let mut server_side = Vec::new();
+        let mut handles = Vec::new();
+        for (i, n_flags) in [4u16, 9].into_iter().enumerate() {
+            let (s, c) = channel_duplex();
+            server_side.push(s);
+            handles.push(std::thread::spawn(move || {
+                let mut w = Popcount::new();
+                let opts = ClientOptions {
+                    client_id: i as u32,
+                    n_flags, // the farm speaks 4; client 1 announces 9
+                    fail_after_shards: None,
+                    fault_kind: FaultKind::Crash,
+                };
+                let _ = run_client(&mut w, c, &opts);
+            }));
+        }
+        let server = EvalServer::new(server_side, CostModel::uniform(), 4, counters).unwrap();
+        assert_eq!(
+            registry.counter_value("evald_clients_lost_total", None),
+            Some(1)
+        );
+        assert_eq!(server.stats().clients_lost, 1);
+        assert_eq!(server.stats().clients, 2);
+        server.shutdown();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
     fn width_mismatch_fails_the_handshake() {
         let (s, c) = channel_duplex();
         let handle = std::thread::spawn(move || {
@@ -1360,7 +1448,7 @@ mod tests {
             );
         });
         assert!(matches!(
-            EvalServer::new(vec![s], CostModel::uniform(), 4),
+            EvalServer::new(vec![s], CostModel::uniform(), 4, ServerCounters::default()),
             Err(EvaldError::NoClients)
         ));
         // The dropped client unblocks once its channel closes.
